@@ -106,6 +106,17 @@ def test_tracer_keeps_outputs_and_restores_originals():
             assert by_id[parent][3] <= start <= end <= by_id[parent][4]
 
 
+def test_tracer_skips_a_hooked_function_the_package_no_longer_has(monkeypatch):
+    import bessel_tr
+
+    monkeypatch.delattr(spectral, "compute_omega")
+    monkeypatch.delattr(bessel_tr, "compute_omega")
+    t = tracer.Tracer()
+    t.install()
+    t.uninstall()
+    assert not hasattr(spectral, "compute_omega")
+
+
 def test_failed_frac_counts_a_corrupted_reference_entry():
     ref = reference.load()
     env = run.child_env()
@@ -140,8 +151,6 @@ def test_smoke_end_to_end(workload):
     declared = {m["name"]: m["unit"] for m in BENCHMARK["end_to_end"]}
     if workload == "small-many":
         declared.update({"call_ms_p50": "ms", "call_ms_p95": "ms"})
-    else:
-        assert workload in {w["name"] for w in BENCHMARK["workloads"]}
     assert {k: m["unit"] for k, m in result["metrics"].items()} == declared
     assert all(m["value"] > 0 for m in result["metrics"].values())
 

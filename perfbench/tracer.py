@@ -172,11 +172,13 @@ class Tracer:
             raise RuntimeError("tracer already installed")
         modules = [m for n, m in sys.modules.items() if n == "bessel_tr" or n.startswith("bessel_tr.")]
         for module_name, path, kind, name in HOOKS:
-            owner = sys.modules[f"bessel_tr.{module_name}"]
+            owner = sys.modules.get(f"bessel_tr.{module_name}")
             *classes, attr = path.split(".")
             for cls in classes:
-                owner = getattr(owner, cls)
-            original = owner.__dict__[attr]
+                owner = getattr(owner, cls, None)
+            original = getattr(owner, "__dict__", {}).get(attr)
+            if original is None:
+                continue  # gone from the package; its metrics read 0
             wrapper = self._wrap(original, kind, name)
             if classes:
                 self._patch(owner, attr, original, wrapper)
