@@ -4,17 +4,16 @@ Subcommands: u-table (closed-recursion coefficient dump), omega (residue
 engine dump), free-energy, partition, wave (series exports), and verify
 (the integrability suites). All outputs are deterministic: identical
 configuration yields byte-identical output, values are always lowest-terms
-"p/q" strings, and files are UTF-8. BESSEL_TR_THREADS caps the number of
-verify targets evaluated concurrently.
+"p/q" strings, and files are UTF-8. Usage errors, including negative
+numeric flags and a verify target whose check window would be empty, print
+a message on stderr and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .correlators import CorrelatorTable, support_keys
 from .formal import ConsistencyError
@@ -26,8 +25,15 @@ from .spectral import (
     stable_pairs,
     symmetric_table,
 )
-from .verify import TARGETS, run_target
+from .verify import TARGETS, empty_window, run_target
 from .wave import principal_specialize
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,14 +45,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, order=False, chi=False):
         if order:
-            p.add_argument("--order", type=int, default=6, help="truncation order N")
+            p.add_argument("--order", type=non_negative_int, default=6, help="truncation order N")
         if chi:
-            p.add_argument("--chi-max", type=int, default=6, help="bound on 2g-2+n")
+            p.add_argument("--chi-max", type=non_negative_int, default=6, help="bound on 2g-2+n")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--out", default=None, help="write output to this file")
 
     p = sub.add_parser("u-table", help="dump the coefficient table")
-    p.add_argument("--g-max", type=int, default=None, help="optional genus bound")
+    p.add_argument("--g-max", type=non_negative_int, default=None, help="optional genus bound")
     add_common(p, chi=True)
 
     p = sub.add_parser("omega", help="dump residue-engine tensors")
@@ -68,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(TARGETS),
         help="comma-separated subset of: " + ", ".join(TARGETS),
     )
-    p.add_argument("--m-max", type=int, default=4, help="Virasoro index bound")
+    p.add_argument("--m-max", type=non_negative_int, default=4, help="Virasoro index bound")
     add_common(p, order=True, chi=True)
 
     return parser
@@ -171,21 +177,12 @@ def _run_verify(args) -> int:
         print(f"unknown verify targets: {', '.join(unknown)}", file=sys.stderr)
         return 2
 
-    def run_one(name: str) -> dict:
-        return run_target(name, order=args.order, chi_max=args.chi_max, m_max=args.m_max)
-
-    workers = 1
-    env = os.environ.get("BESSEL_TR_THREADS")
-    if env:
-        try:
-            workers = max(1, int(env))
-        except ValueError:
-            workers = 1
-    if workers > 1 and len(targets) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(targets))) as pool:
-            reports = list(pool.map(run_one, targets))
-    else:
-        reports = [run_one(t) for t in targets]
+    params = {"order": args.order, "chi_max": args.chi_max, "m_max": args.m_max}
+    empty = [reason for t in targets if (reason := empty_window(t, **params))]
+    if empty:
+        print("\n".join(empty), file=sys.stderr)
+        return 2
+    reports = [run_target(t, **params) for t in targets]
 
     if args.format == "json":
         lines = [json.dumps(r) for r in reports]

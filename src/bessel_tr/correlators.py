@@ -6,11 +6,14 @@ evaluates the recursion
 
     mu1 * C(g; mu1, rest) = sum_k (mu1 + mu_k - 1) * C(g; mu1 + mu_k - 1, rest \\ mu_k)
         + 1/2 * sum_{a + b = mu1 - 1, a, b odd} a*b * [ C(g-1; a, b, rest)
-            + sum_{g1 + g2 = g, split of rest} C(g1; a, part) * C(g2; b, rest of part) ]
+            + sum_{left + right = rest} C(g1; a, left) * C(g2; b, right) ]
 
-seeded by C(0; .) = C(0; ., .) = 0 and C(1; 1) = 1/8. The quadratic sum is
-iterated without restriction; the vanishing genus-zero base cases kill the
-unstable terms on their own.
+seeded by C(1; 1) = 1/8; genus zero is empty, as n parts cannot sum to n - 2.
+The quadratic sum runs over sub-multisets `left` of `rest`, not subsets: a
+split taking k of the c parts equal to v stands for comb(c, k) subsets and
+is weighted by the product of those binomials. The support law forces both
+genera, 2*g1 = a + sum(left) + 1 - |left| and g2 = g - g1, and each is at
+least 1 because every part is; no genus is summed over.
 
 Also houses the genus <= 4 closed-form families, the combined string/dilaton
 identity, and the support predicate.
@@ -18,8 +21,10 @@ identity, and the support predicate.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import comb, factorial, prod
 
 from .formal import ConsistencyError
 
@@ -94,33 +99,45 @@ class CorrelatorTable:
             self._store(key, got)
         return got
 
+    def _lookup(self, g: int, parts: tuple[int, ...]) -> Fraction:
+        # canonical key on the support: a memo hit skips value's input checks
+        got = self._entries.get((g, parts))
+        return self.value(g, parts) if got is None else got
+
     def recursion_step(self, g: int, parts, pivot: int) -> Fraction:
         """One unfolding of the recursion with parts[pivot] distinguished.
 
         `value` always pivots on the largest part; other pivots are exposed so
-        the well-definedness of the recursion can be checked directly.
+        the well-definedness of the recursion can be checked directly. The
+        index must be on the support, in any order. Each sub-multiset split of
+        the other parts is taken once, weighted by its binomial count, with
+        the genera the support law forces (see the module docstring).
         """
         parts = tuple(parts)
+        if not in_support(g, parts):
+            raise ValueError(f"index off the support: genus {g}, parts {parts}")
         first = parts[pivot]
-        rest = parts[:pivot] + parts[pivot + 1 :]
+        rest = canonical_parts(parts[:pivot] + parts[pivot + 1 :])
+        lookup = self._lookup
         total = Fraction(0)
         for k in range(len(rest)):
             merged = first + rest[k] - 1
-            total += merged * self.value(g, (merged,) + rest[:k] + rest[k + 1 :])
+            total += merged * lookup(g, canonical_parts((merged,) + rest[:k] + rest[k + 1 :]))
+        groups = sorted(Counter(rest).items(), reverse=True)
+        splits = []  # (weight, left, right, 2*g1 - alpha)
+        for taken in product(*(range(c + 1) for _, c in groups)):
+            left = tuple(v for (v, _), k in zip(groups, taken) for _ in range(k))
+            right = tuple(v for (v, c), k in zip(groups, taken) for _ in range(c - k))
+            weight = prod(comb(c, k) for (_, c), k in zip(groups, taken))
+            splits.append((weight, left, right, sum(left) + 1 - len(left)))
         quad = Fraction(0)
         for alpha in range(1, first - 1, 2):
             beta = first - 1 - alpha
-            inner = Fraction(0)
-            if g >= 1:
-                inner += self.value(g - 1, (alpha, beta) + rest)
-            for g1 in range(g + 1):
-                g2 = g - g1
-                for mask in range(1 << len(rest)):
-                    left = tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
-                    right = tuple(rest[i] for i in range(len(rest)) if not mask >> i & 1)
-                    a = self.value(g1, (alpha,) + left)
-                    if a:
-                        inner += a * self.value(g2, (beta,) + right)
+            inner = lookup(g - 1, canonical_parts((alpha, beta) + rest))
+            for weight, left, right, shift in splits:
+                g1 = (alpha + shift) // 2
+                a = lookup(g1, canonical_parts((alpha,) + left))
+                inner += weight * a * lookup(g - g1, canonical_parts((beta,) + right))
             quad += alpha * beta * inner
         total += quad / 2
         return total / first

@@ -14,7 +14,7 @@ variable index.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .correlators import CorrelatorTable, odd_partitions
 
@@ -239,13 +239,8 @@ def free_energy(table: CorrelatorTable, order: int) -> PSeries:
             u = table.value(g, parts)
             if not u:
                 continue
-            counts: dict[int, int] = {}
-            for p in parts:
-                counts[p] = counts.get(p, 0) + 1
-            weight = 1
-            for c in counts.values():
-                weight *= factorial(c)
-            key = tuple(sorted(counts.items(), reverse=True))
+            key = mono((p, 1) for p in parts)
+            weight = prod(factorial(c) for _, c in key)
             terms[key] = terms.get(key, Fraction(0)) + u / weight
     return PSeries(terms, order)
 

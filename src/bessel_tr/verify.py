@@ -5,8 +5,8 @@ Each target builds a JSON-ready report
     {"check": name, "order": N, "reliable_order": r,
      "status": "pass" | "fail", "residual_terms": [...]}
 
-listing every offending term (empty on pass). Targets are pure functions of
-their parameters, so independent targets may run in parallel.
+listing every offending term (empty on pass). A target whose reliable window
+would be empty is refused, never reported as a vacuous pass.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from .operators import (
     evolve,
     kdv_field,
     kdv_initial_series,
+    virasoro_annihilation_check,
     virasoro_commutator_holds,
-    virasoro_residual_terms,
 )
-from .pseries import PSeries, partition_function
+from .pseries import PSeries, mono, partition_function
 from .spectral import CorrelationEngine, bessel_curve, stable_pairs, symmetric_table
 from .wave import (
     conjugated_residual,
@@ -53,12 +53,7 @@ def _mono_json(m) -> dict:
 
 
 def virasoro_report(order: int, m_max: int) -> dict:
-    Z = partition_function(CorrelatorTable(), order)
-    residuals = []
-    for m in range(m_max + 1):
-        for mo, c in virasoro_residual_terms(Z, m):
-            residuals.append({"m": m, "mono": _mono_json(mo), "coeff": str(c)})
-    return _report("virasoro", order, order - 1, residuals)
+    return virasoro_annihilation_check(partition_function(CorrelatorTable(), order), m_max)
 
 
 def commutator_report(order: int, m_max: int) -> dict:
@@ -71,18 +66,14 @@ def commutator_report(order: int, m_max: int) -> dict:
     basis = [PSeries.one(pad)]
     for d in range(1, order + 1):
         for parts in odd_partitions(d):
-            counts: dict[int, int] = {}
-            for p in parts:
-                counts[p] = counts.get(p, 0) + 1
-            key = tuple(sorted(counts.items(), reverse=True))
-            basis.append(PSeries({key: Fraction(1)}, d + pad))
+            basis.append(PSeries({mono((p, 1) for p in parts): Fraction(1)}, d + pad))
     residuals = []
     for m in range(m_max + 1):
         for n in range(m, m_max + 1):
             for series in basis:
                 if not virasoro_commutator_holds(m, n, series):
-                    mono = next(iter(series.terms), ())
-                    residuals.append({"m": m, "n": n, "mono": _mono_json(mono)})
+                    term = next(iter(series.terms), ())
+                    residuals.append({"m": m, "n": n, "mono": _mono_json(term)})
     return _report("commutator", order, order, residuals)
 
 
@@ -174,33 +165,35 @@ def sk_identity_report(order: int) -> dict:
     return report
 
 
-TARGETS = (
-    "virasoro",
-    "commutator",
-    "cutjoin",
-    "kdv",
-    "quantum-curve",
-    "string-dilaton",
-    "oracle-equivalence",
-    "sk-identity",
-)
+# name -> (the least value of each parameter at which the target checks
+# anything, below which its reliable window is empty; its report function,
+# called with (order, chi_max, m_max))
+_TARGETS = {
+    "virasoro": ({"order": 1, "m_max": 0}, lambda o, c, m: virasoro_report(o, m)),
+    "commutator": ({"order": 0, "m_max": 0}, lambda o, c, m: commutator_report(o, m)),
+    "cutjoin": ({"order": 0}, lambda o, c, m: cutjoin_report(o)),
+    "kdv": ({"order": 5}, lambda o, c, m: kdv_report(o)),
+    "quantum-curve": ({"order": 1}, lambda o, c, m: quantum_curve_report(o)),
+    "string-dilaton": ({"chi_max": 1}, lambda o, c, m: string_dilaton_report(c)),
+    "oracle-equivalence": ({"chi_max": 1}, lambda o, c, m: oracle_equivalence_report(c)),
+    "sk-identity": ({"order": 0}, lambda o, c, m: sk_identity_report(o)),
+}
+TARGETS = tuple(_TARGETS)
+
+
+def empty_window(name: str, **params: int) -> str | None:
+    """Why target `name` would check nothing at these parameters, or None."""
+    for param, least in _TARGETS[name][0].items():
+        if params[param] < least:
+            flag = "--" + param.replace("_", "-")
+            return f"{name} checks nothing at {flag} {params[param]}; it needs {flag} >= {least}"
+    return None
 
 
 def run_target(name: str, *, order: int, chi_max: int, m_max: int) -> dict:
-    if name == "virasoro":
-        return virasoro_report(order, m_max)
-    if name == "commutator":
-        return commutator_report(order, m_max)
-    if name == "cutjoin":
-        return cutjoin_report(order)
-    if name == "kdv":
-        return kdv_report(order)
-    if name == "quantum-curve":
-        return quantum_curve_report(order)
-    if name == "string-dilaton":
-        return string_dilaton_report(chi_max)
-    if name == "oracle-equivalence":
-        return oracle_equivalence_report(chi_max)
-    if name == "sk-identity":
-        return sk_identity_report(order)
-    raise ValueError(f"unknown verify target {name!r}")
+    if name not in _TARGETS:
+        raise ValueError(f"unknown verify target {name!r}")
+    reason = empty_window(name, order=order, chi_max=chi_max, m_max=m_max)
+    if reason:
+        raise ValueError(reason)
+    return _TARGETS[name][1](order, chi_max, m_max)

@@ -23,11 +23,11 @@ term for term.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .correlators import CorrelatorTable, odd_partitions
 from .formal import double_factorial
-from .pseries import PSeries, mono_degree, partition_function
+from .pseries import PSeries, mono, mono_degree, partition_function
 
 
 class OneVarSeries:
@@ -175,12 +175,7 @@ def sk_identity_check(table: CorrelatorTable, order: int) -> bool:
             u = table.value(g, parts)
             if not u:
                 continue
-            counts: dict[int, int] = {}
-            for p in parts:
-                counts[p] = counts.get(p, 0) + 1
-            orderings = factorial(n)
-            for c in counts.values():
-                orderings //= factorial(c)
+            orderings = factorial(n) // prod(factorial(c) for _, c in mono((p, 1) for p in parts))
             rhs += Fraction((-1) ** n, factorial(n)) * u * orderings
         if lhs != rhs:
             return False

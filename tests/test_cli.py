@@ -129,8 +129,45 @@ def test_out_writes_file(tmp_path, capsys):
     assert "2,[3],3/128" in target.read_text(encoding="utf-8")
 
 
-def test_thread_cap_does_not_change_output(capsys, monkeypatch):
-    _, serial = run_cli(capsys, "verify", "--targets", "kdv,sk-identity", "--order", "6")
-    monkeypatch.setenv("BESSEL_TR_THREADS", "2")
-    _, threaded = run_cli(capsys, "verify", "--targets", "kdv,sk-identity", "--order", "6")
-    assert serial == threaded
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--targets", "kdv", "--order", "3"],
+        ["verify", "--targets", "virasoro", "--order", "0"],
+        ["verify", "--targets", "quantum-curve", "--order", "0"],
+        ["verify", "--targets", "oracle-equivalence", "--chi-max", "0"],
+        ["verify", "--targets", "string-dilaton", "--chi-max", "0"],
+        ["verify", "--targets", "cutjoin,kdv", "--order", "4"],
+    ],
+)
+def test_empty_window_exits_two(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "checks nothing" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--targets", "commutator", "--m-max", "-1"],
+        ["free-energy", "--order", "-1"],
+        ["u-table", "--chi-max", "-2"],
+        ["u-table", "--g-max", "-1"],
+    ],
+)
+def test_negative_flag_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-negative" in captured.err
+
+
+def test_kdv_at_its_floor_passes(capsys):
+    code, out = run_cli(capsys, "verify", "--targets", "kdv", "--order", "5")
+    assert code == 0
+    report = json.loads(out)
+    assert report["reliable_order"] == 0
+    assert report["status"] == "pass"

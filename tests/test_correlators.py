@@ -64,7 +64,9 @@ def test_recursion_matches_all_closed_families():
         (4, (5, 3)),
         (4, (3, 3, 3)),
     ]:
-        for n in range(max(len(shape), 1), 7):
+        # n up to 12: long runs of ones are where sub-multiset splits differ
+        # most from subsets
+        for n in range(max(len(shape), 1), 13):
             parts = family_parts(shape, n)
             assert t.value(g, parts) == closed_form(g, shape, n), (g, shape, n)
 
@@ -107,7 +109,7 @@ def test_pivot_choice_does_not_matter():
     # the recursion distinguishes one part; every choice must agree (except
     # on the seeded base value, which the recursion does not reproduce)
     t = CorrelatorTable()
-    for g, parts in support_keys(8):
+    for g, parts in support_keys(12):
         if (g, parts) == (1, (1,)):
             continue
         expected = t.value(g, parts)
@@ -120,6 +122,17 @@ def test_pivot_identity_is_trivial_for_seeded_base_case():
     t = CorrelatorTable()
     assert t.recursion_step(1, (1,), 0) == 0
     assert t.value(1, (1,)) == Fraction(1, 8)
+
+
+def test_recursion_step_accepts_unsorted_parts():
+    t = CorrelatorTable()
+    assert t.recursion_step(3, (1, 3, 1, 3), 1) == t.value(3, (3, 3, 1, 1))
+    assert t.recursion_step(3, (1, 3, 1, 3), 0) == t.value(3, (3, 3, 1, 1))
+
+
+def test_recursion_step_rejects_off_support_index():
+    with pytest.raises(ValueError):
+        CorrelatorTable().recursion_step(2, (5, 1), 0)
 
 
 def test_memo_insert_conflict_is_fatal():
