@@ -22,8 +22,8 @@ from .spectral import (
     CorrelationEngine,
     airy_curve,
     bessel_curve,
+    omega_records,
     stable_pairs,
-    symmetric_table,
 )
 from .verify import TARGETS, empty_window, run_target
 from .wave import principal_specialize
@@ -88,6 +88,11 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _emit_lines(lines: list[str], out_path) -> None:
+    """One line per record, each ending in a newline; no records, no output."""
+    _emit("".join(line + "\n" for line in lines), out_path)
+
+
 def _mu_str(parts) -> str:
     return "[" + ",".join(str(p) for p in parts) + "]"
 
@@ -108,62 +113,53 @@ def _run_u_table(args) -> int:
         lines = ["g,mu,value"] + [f"{g},{_mu_str(parts)},{v}" for g, parts, v in rows]
     else:
         lines = [f"g={g} mu={_mu_str(parts)} {v}" for g, parts, v in rows]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit_lines(lines, args.out)
     return 0
 
 
 def _run_omega(args) -> int:
     curve = bessel_curve() if args.curve == "bessel" else airy_curve()
     engine = CorrelationEngine(curve)
-    records = []
-    for g, n in stable_pairs(args.chi_max):
-        sym = symmetric_table(engine.omega(g, n))
-        for mu in sorted(sym):
-            records.append((g, n, mu, sym[mu]))
+    records = [
+        r for g, n in stable_pairs(args.chi_max) for r in omega_records(engine.omega(g, n))
+    ]
     if args.format == "json":
-        lines = [
-            json.dumps({"g": g, "n": n, "mu": list(mu), "value": str(v)})
-            for g, n, mu, v in records
-        ]
+        lines = [json.dumps(r) for r in records]
     elif args.format == "csv":
         lines = ["g,n,mu,value"] + [
-            f"{g},{n},{_mu_str(mu)},{v}" for g, n, mu, v in records
+            f"{r['g']},{r['n']},{_mu_str(r['mu'])},{r['value']}" for r in records
         ]
     else:
-        lines = [f"g={g} n={n} mu={_mu_str(mu)} {v}" for g, n, mu, v in records]
-    _emit("\n".join(lines) + "\n", args.out)
+        lines = [f"g={r['g']} n={r['n']} mu={_mu_str(r['mu'])} {r['value']}" for r in records]
+    _emit_lines(lines, args.out)
     return 0
 
 
 def _series_output(series, args) -> int:
     if args.format == "json":
-        text = json.dumps(series.to_json_dict()) + "\n"
+        lines = [json.dumps(series.to_json_dict())]
     elif args.format == "csv":
         lines = ["degree,mono,coeff"] + [
             f"{mono_degree(m)},{mono_str(m)},{c}" for m, c in series.sorted_terms()
         ]
-        text = "\n".join(lines) + "\n"
     else:
         lines = [
             f"deg {mono_degree(m)}: {c} * {mono_str(m)}"
             for m, c in series.sorted_terms()
         ]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit_lines(lines, args.out)
     return 0
 
 
 def _run_wave(args) -> int:
     psi = principal_specialize(partition_function(CorrelatorTable(), args.order))
     if args.format == "json":
-        text = json.dumps(psi.to_json_dict()) + "\n"
+        lines = [json.dumps(psi.to_json_dict())]
     elif args.format == "csv":
         lines = ["d,coeff"] + [f"{d},{c}" for d, c in enumerate(psi.coeffs)]
-        text = "\n".join(lines) + "\n"
     else:
         lines = [f"w^{d}: {c}" for d, c in enumerate(psi.coeffs)]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit_lines(lines, args.out)
     return 0
 
 
@@ -197,7 +193,7 @@ def _run_verify(args) -> int:
             f" residuals={len(r['residual_terms'])})"
             for r in reports
         ]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit_lines(lines, args.out)
     return 0 if all(r["status"] == "pass" for r in reports) else 1
 
 

@@ -23,14 +23,17 @@ bracket collapses to a one-variable Laurent density in z (the dz^2 is
 stripped; evaluating a slot at -z contributes the sign (-1)^index), the
 kernel contributes the geometric expansion of -1/D(z) * 1/(z_1 - z) with
 D(z) = [y(z) - y(-z)] z, and reading the z^(-1) coefficient leaves a
-polynomial in 1/z_1 whose coefficients are the new tensor entries.
+polynomial in 1/z_1 whose coefficients are the new tensor entries. Each of
+them is one dot product of the density with the truncated series of 1/D.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from math import factorial
+from operator import itemgetter
 
 from .formal import ConsistencyError, LaurentPoly
 
@@ -141,56 +144,77 @@ class CorrelationEngine:
     def _compute(self, g: int, n: int) -> OmegaCoeffs:
         cap = self.curve.max_part(g, n) + self.MARGIN
         ext = n - 1
-        # external index assignment -> z-density of the bracket (exponent -> coeff)
+        # external index tuple -> z-density of the bracket (exponent -> coeff)
         bracket: dict[tuple[int, ...], dict[int, Fraction]] = {}
-
-        def add_density(assignment: dict, exponent: int, coeff: Fraction) -> None:
-            key = tuple(assignment[i] for i in range(ext))
-            slot = bracket.setdefault(key, {})
-            slot[exponent] = slot.get(exponent, Fraction(0)) + coeff
 
         # omega_{g-1, n+1}(z, -z, externals)
         if g >= 1:
             if (g - 1, n + 1) == (0, 2):
-                add_density({}, -2, Fraction(-1, 4))
+                bracket[()] = {-2: Fraction(-1, 4)}
             else:
-                lower = self.omega(g - 1, n + 1)
-                for idx, u in lower.coeffs.items():
-                    nu1, nu2, rest = idx[0], idx[1], idx[2:]
+                for idx, u in self.omega(g - 1, n + 1).coeffs.items():
+                    nu1, nu2 = idx[0], idx[1]
                     coeff = u * nu1 * nu2
-                    if nu2 % 2:
-                        coeff = -coeff
-                    add_density(dict(enumerate(rest)), -(nu1 + nu2 + 2), coeff)
+                    slot = bracket.setdefault(idx[2:], {})
+                    e = -(nu1 + nu2 + 2)
+                    slot[e] = slot.get(e, 0) + (-coeff if nu2 % 2 else coeff)
 
         # quadratic sum over ordered pairs (g1, I), (g2, J); pairs containing
         # omega_{0,1} are excluded before either factor is expanded (the
-        # excluded partner of such a pair is omega_{g,n} itself)
+        # excluded partner of such a pair is omega_{g,n} itself). The factor
+        # product depends only on (g1, |I|): it is built once, as value tuples
+        # in (I, J) order, and each mask scatters it into slot order.
+        pickers: dict[int, list] = {}
+        for mask in range(1 << ext):
+            left = [i for i in range(ext) if mask >> i & 1]
+            order = left + [i for i in range(ext) if not mask >> i & 1]
+            perm = sorted(range(ext), key=order.__getitem__)
+            # itemgetter of one index returns a bare value; up to one
+            # external slot, (I, J) order already is slot order
+            picker = itemgetter(*perm) if ext > 1 else tuple
+            pickers.setdefault(len(left), []).append(picker)
         for g1 in range(g + 1):
             g2 = g - g1
-            for mask in range(1 << ext):
-                left = [i for i in range(ext) if mask >> i & 1]
-                right = [i for i in range(ext) if not mask >> i & 1]
-                if (g1 == 0 and not left) or (g2 == 0 and not right):
+            for k, masks in pickers.items():
+                if (g1 == 0 and k == 0) or (g2 == 0 and k == ext):
                     continue
-                f1 = self._factor_terms(g1, left, barred=False, cap=cap)
+                f1 = self._factor_terms(g1, k, barred=False, cap=cap)
                 if not f1:
                     continue
-                f2 = self._factor_terms(g2, right, barred=True, cap=cap)
+                f2 = self._factor_terms(g2, ext - k, barred=True, cap=cap)
                 if not f2:
                     continue
-                for a1, e1, c1 in f1:
-                    for a2, e2, c2 in f2:
-                        add_density({**a1, **a2}, e1 + e2, c1 * c2)
+                products = [
+                    (v1 + v2, e1 + e2, c1 * c2) for v1, e1, c1 in f1 for v2, e2, c2 in f2
+                ]
+                for pick in masks:
+                    for values, e, c in products:
+                        key = pick(values)
+                        slot = bracket.get(key)
+                        if slot is None:
+                            bracket[key] = {e: c}
+                        elif e in slot:
+                            slot[e] += c
+                        else:
+                            slot[e] = c
 
+        # entry (b - 1, key) is -[z^(-b)] density(z) / D(z) divided by b - 1:
+        # a dot product of the density with the truncated 1/D, accumulated
+        # for b = 1 .. cap + 1 only
         coeffs: dict[tuple[int, ...], Fraction] = {}
         nonempty = [d for d in bracket.values() if any(d.values())]
         if nonempty:
             e_min = min(min(d) for d in nonempty)
             inv = self._den.inverse(max(-1 - e_min, -self._den.valuation()))
-            for key, density_map in bracket.items():
-                paired = inv * LaurentPoly(density_map)
-                for b in range(1, cap + 2):
-                    r = -paired.coefficient(-b)
+            neg_inv = [(t, -d) for t, d in inv.coeffs.items()]
+            for key, density in bracket.items():
+                residues: dict[int, Fraction] = {}
+                for e, c in density.items():
+                    for t, d in neg_inv:
+                        b = -(e + t)
+                        if 0 < b <= cap + 1:
+                            residues[b] = residues[b] + c * d if b in residues else c * d
+                for b, r in residues.items():
                     if not r:
                         continue
                     if b == 1:
@@ -200,28 +224,26 @@ class CorrelationEngine:
                     coeffs[(b - 1,) + key] = r / (b - 1)
         return OmegaCoeffs(g, n, coeffs)
 
-    def _factor_terms(self, g_i: int, slots: list[int], barred: bool, cap: int):
-        """Expansion terms (assignment, z-exponent, coeff) of one product factor.
+    def _factor_terms(self, g_i: int, k: int, barred: bool, cap: int):
+        """Expansion terms (values, z-exponent, coeff) of one product factor.
 
-        The caller has already excluded omega_{0,1} factors. A barred factor
-        is evaluated at -z, which multiplies the term attached to index nu by
+        `values` holds the factor's k external indices in slot order. The
+        caller has already excluded omega_{0,1} factors. A barred factor is
+        evaluated at -z, which multiplies the term attached to index nu by
         (-1)^nu.
         """
-        k = len(slots)
-        out = []
         if g_i == 0 and k == 1:
-            label = slots[0]
-            for m in range(1, cap + 1):
-                coeff = Fraction(-1) if (barred and m % 2) else Fraction(1)
-                out.append(({label: m}, m - 1, coeff))
-        else:
-            tensor = self.omega(g_i, k + 1)
-            for idx, u in tensor.coeffs.items():
-                nu1, rest = idx[0], idx[1:]
-                coeff = u * nu1
-                if barred and nu1 % 2:
-                    coeff = -coeff
-                out.append((dict(zip(slots, rest)), -(nu1 + 1), coeff))
+            one, minus_one = Fraction(1), Fraction(-1)
+            return [
+                ((m,), m - 1, minus_one if barred and m % 2 else one) for m in range(1, cap + 1)
+            ]
+        out = []
+        for idx, u in self.omega(g_i, k + 1).coeffs.items():
+            nu1 = idx[0]
+            coeff = u * nu1
+            if barred and nu1 % 2:
+                coeff = -coeff
+            out.append((idx[1:], -(nu1 + 1), coeff))
         return out
 
 
@@ -244,23 +266,33 @@ def symmetric_table(omega: OmegaCoeffs) -> dict[tuple[int, ...], Fraction]:
 
     Fails loudly if the tensor is not fully symmetric; this is the
     internal-consistency tripwire for the residue recursion, whose output
-    symmetry is a theorem rather than a construction.
+    symmetry is a theorem rather than a construction. The stored keys are
+    distinct orderings of their canonical key, so every ordering is present
+    exactly when a canonical key has n!/prod(m_i!) of them, m_i being the
+    multiplicities of its parts.
     """
     out: dict[tuple[int, ...], Fraction] = {}
+    found: dict[tuple[int, ...], int] = {}
     for key, value in omega.coeffs.items():
         if len(key) != omega.n:
             raise ConsistencyError(f"key {key} has wrong arity for n={omega.n}")
         canon = tuple(sorted(key, reverse=True))
         seen = out.get(canon)
-        if seen is not None and seen != value:
+        if seen is None:
+            out[canon] = value
+            found[canon] = 1
+        elif seen != value:
             raise ConsistencyError(f"asymmetric tensor at {canon}: {seen} vs {value}")
-        out[canon] = value
-    for canon, value in out.items():
-        for perm in set(permutations(canon)):
-            if omega.coeffs.get(perm) != value:
-                raise ConsistencyError(
-                    f"asymmetric tensor: {perm} missing or differs from {canon}"
-                )
+        else:
+            found[canon] += 1
+    for canon, count in found.items():
+        orderings = factorial(omega.n)
+        for m in Counter(canon).values():
+            orderings //= factorial(m)
+        if count != orderings:
+            raise ConsistencyError(
+                f"asymmetric tensor: {canon} has {count} of its {orderings} orderings"
+            )
     return out
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from bessel_tr.cli import main
+from bessel_tr.spectral import CorrelationEngine, airy_curve, omega_records, stable_pairs
 
 
 def run_cli(capsys, *argv):
@@ -171,3 +172,40 @@ def test_kdv_at_its_floor_passes(capsys):
     report = json.loads(out)
     assert report["reliable_order"] == 0
     assert report["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["u-table", "--chi-max", "0", "--format", "json"], ""),
+        (["u-table", "--chi-max", "0", "--format", "csv"], "g,mu,value\n"),
+        (["u-table", "--chi-max", "0", "--format", "text"], ""),
+        (["omega", "--chi-max", "0", "--format", "json"], ""),
+        (["omega", "--chi-max", "0", "--format", "csv"], "g,n,mu,value\n"),
+        (["omega", "--chi-max", "0", "--format", "text"], ""),
+        (["omega", "--curve", "airy", "--chi-max", "0", "--format", "json"], ""),
+        (["free-energy", "--order", "0", "--format", "text"], ""),
+        (["free-energy", "--order", "0", "--format", "csv"], "degree,mono,coeff\n"),
+    ],
+)
+def test_empty_dump_prints_no_records(capsys, argv, expected):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
+
+
+def test_empty_dump_writes_an_empty_file(capsys, tmp_path):
+    target = tmp_path / "empty.json"
+    code, out = run_cli(capsys, "omega", "--chi-max", "0", "--out", str(target))
+    assert code == 0
+    assert out == ""
+    assert target.read_bytes() == b""
+
+
+def test_omega_dump_matches_its_records(capsys):
+    engine = CorrelationEngine(airy_curve())
+    records = [r for g, n in stable_pairs(3) for r in omega_records(engine.omega(g, n))]
+    _, out = run_cli(capsys, "omega", "--curve", "airy", "--chi-max", "3", "--format", "json")
+    assert [json.loads(line) for line in out.splitlines()] == records
+    _, out = run_cli(capsys, "omega", "--curve", "airy", "--chi-max", "3", "--format", "text")
+    assert out.splitlines()[:2] == ["g=0 n=3 mu=[1,1,1] 1", "g=1 n=1 mu=[3] 1/24"]

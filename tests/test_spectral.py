@@ -1,10 +1,11 @@
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 
 from bessel_tr.correlators import CorrelatorTable, in_support, odd_partitions
-from bessel_tr.formal import ConsistencyError, LaurentPoly
+from bessel_tr.formal import ConsistencyError, LaurentPoly, double_factorial
 from bessel_tr.spectral import (
     CorrelationEngine,
     OmegaCoeffs,
@@ -163,3 +164,70 @@ def test_max_part_classification():
     assert bessel_curve().max_part(3, 2) == 5
     assert airy_curve().max_part(1, 1) == 3
     assert bessel_curve().max_part(0, 3) == 1
+
+
+def _airy_parts(ds):
+    # dictionary U = <prod tau_{d_i}> * prod (2 d_i - 1)!! with mu_i = 2 d_i + 1
+    return tuple(sorted((2 * d + 1 for d in ds), reverse=True))
+
+
+def _partitions(total, max_parts, largest=None):
+    """Partitions of total into at most max_parts parts, parts descending."""
+    if total == 0:
+        yield ()
+        return
+    if max_parts == 0:
+        return
+    for first in range(min(total, largest or total), 0, -1):
+        for tail in _partitions(total - first, max_parts - 1, first):
+            yield (first,) + tail
+
+
+def test_airy_genus_zero_closed_form():
+    # <tau_{d_1} ... tau_{d_n}>_0 = (n - 3)! / prod d_i! on sum d_i = n - 3
+    engine = CorrelationEngine(airy_curve())
+    checked = 0
+    for n in range(3, 9):
+        expected = {}
+        for nonzero in _partitions(n - 3, n):
+            ds = nonzero + (0,) * (n - len(nonzero))
+            value = Fraction(factorial(n - 3))
+            for d in ds:
+                value = value / factorial(d) * double_factorial(2 * d - 1)
+            expected[_airy_parts(ds)] = value
+        assert symmetric_table(engine.omega(0, n)) == expected, n
+        checked += len(expected)
+    assert checked == 19
+
+
+def test_airy_one_point_closed_form():
+    # <tau_{3g-2}>_g = 1 / (24^g g!), so U(g; 6g - 3) = (6g - 5)!! / (24^g g!)
+    engine = CorrelationEngine(airy_curve())
+    for g in range(1, 4):
+        expected = Fraction(double_factorial(6 * g - 5), 24**g * factorial(g))
+        assert symmetric_table(engine.omega(g, 1)) == {(6 * g - 3,): expected}, g
+
+
+def test_symmetric_table_at_arity_twelve():
+    # 12! orderings of a single canonical key; the count check never lists them
+    ones = (1,) * 12
+    assert symmetric_table(OmegaCoeffs(1, 12, {ones: Fraction(5, 7)})) == {ones: Fraction(5, 7)}
+
+
+def test_symmetric_table_rejects_one_missing_ordering():
+    value = Fraction(3, 2)
+    orderings = sorted(set(permutations((3, 3, 1, 1, 1, 1))))
+    assert len(orderings) == 15
+    whole = {key: value for key in orderings}
+    assert symmetric_table(OmegaCoeffs(1, 6, whole)) == {(3, 3, 1, 1, 1, 1): value}
+    for dropped in (orderings[0], orderings[7], orderings[-1]):
+        partial = {key: v for key, v in whole.items() if key != dropped}
+        with pytest.raises(ConsistencyError):
+            symmetric_table(OmegaCoeffs(1, 6, partial))
+
+
+def test_symmetric_table_rejects_wrong_arity():
+    with pytest.raises(ConsistencyError, match="arity"):
+        symmetric_table(OmegaCoeffs(1, 2, {(1, 1, 1): Fraction(1)}))
+    with pytest.raises(ConsistencyError, match="arity"):
+        symmetric_table(OmegaCoeffs(1, 2, {(1, 1): Fraction(1), (3,): Fraction(1)}))

@@ -17,8 +17,8 @@ def test_free_energy_matches_cut_and_join_log():
     assert free_energy(CorrelatorTable(), 18) == evolve(18).log()
 
 
-def test_oracle_equivalence_through_chi_ten():
-    assert oracle_equivalence_report(10)["status"] == "pass"
+def test_oracle_equivalence_through_chi_twelve():
+    assert oracle_equivalence_report(12)["status"] == "pass"
 
 
 def test_string_dilaton_through_chi_fourteen():
