@@ -25,7 +25,7 @@ from .spectral import (
     omega_records,
     stable_pairs,
 )
-from .verify import TARGETS, empty_window, run_target
+from .verify import TARGETS, RunContext, empty_window, run_target
 from .wave import principal_specialize
 
 
@@ -178,7 +178,8 @@ def _run_verify(args) -> int:
     if empty:
         print("\n".join(empty), file=sys.stderr)
         return 2
-    reports = [run_target(t, **params) for t in targets]
+    context = RunContext()
+    reports = [run_target(t, **params, context=context) for t in targets]
 
     if args.format == "json":
         lines = [json.dumps(r) for r in reports]

@@ -40,9 +40,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .correlators import CorrelatorTable
 from .formal import ConsistencyError
-from .pseries import PSeries, free_energy, mono_degree
+from .pseries import PSeries, mono_degree
 
 
 def _add_term(out: dict, key, coeff: Fraction) -> None:
@@ -128,17 +127,25 @@ def virasoro_annihilation_check(Z: PSeries, m_max: int) -> dict:
     }
 
 
-def virasoro_commutator_holds(m: int, n: int, series: PSeries) -> bool:
+def virasoro_commutator_holds(m: int, n: int, series: PSeries, images: dict | None = None) -> bool:
     """[L_m, L_n] = (m - n) L_{m+n} applied to `series`.
 
     Compared through the provably complete window: L_n costs 2n + 1 degrees
     of completeness and L_m another 2m + 1, so the difference is checked
-    through degree series.order - 2(m + n) - 2.
+    through degree series.order - 2(m + n) - 2. `images` maps k to
+    L_k(series) and is filled on first use: passing one dict to every call
+    on the same series applies each L_k to it once.
     """
-    lhs = virasoro_apply(m, virasoro_apply(n, series)) - virasoro_apply(
-        n, virasoro_apply(m, series)
-    )
-    rhs = virasoro_apply(m + n, series) * (m - n)
+    if images is None:
+        images = {}
+
+    def image(k: int) -> PSeries:
+        if k not in images:
+            images[k] = virasoro_apply(k, series)
+        return images[k]
+
+    lhs = virasoro_apply(m, image(n)) - virasoro_apply(n, image(m))
+    rhs = image(m + n) * (m - n)
     reliable = series.order - 2 * (m + n) - 2
     if reliable < 0:
         return True
@@ -194,26 +201,28 @@ def kdv_initial_series(order: int) -> PSeries:
     )
 
 
-def kdv_field(table: CorrelatorTable, order: int) -> PSeries:
+def kdv_field(F: PSeries) -> PSeries:
     """u = d^2 F / dx^2 restricted to the variables p1, p3, complete through
-    degree order - 2. Restriction commutes with the derivatives taken here."""
-    F = free_energy(table, order).restrict((1, 3))
-    return F.partial(1).partial(1)
+    degree F.order - 2. Restriction commutes with the derivatives taken here."""
+    return F.restrict((1, 3)).partial(1).partial(1)
 
 
-def kdv_residual(table: CorrelatorTable, order: int) -> PSeries:
-    """u_t - u u_x - 1/12 u_xxx, truncated to the reliable degree order - 5.
+def kdv_residuals(F: PSeries) -> tuple[PSeries, PSeries]:
+    """The KdV residual u_t - u u_x - 1/12 u_xxx truncated to the reliable
+    degree F.order - 5, and u(x, 0) minus the geometric square series
+    through degree F.order - 2."""
+    u = kdv_field(F)
+    flow = u.partial(3) - u * u.partial(1) - u.partial(1).partial(1).partial(1) * Fraction(1, 12)
+    initial = u.restrict((1,)).truncated(F.order - 2) - kdv_initial_series(F.order - 2)
+    return flow.truncated(F.order - 5), initial
 
-    Also cross-checks the initial condition u(x, 0) against the geometric
-    square series; a mismatch there is an internal inconsistency.
-    """
-    if order < 5:
+
+def kdv_residual(F: PSeries) -> PSeries:
+    """The KdV residual of `kdv_residuals`, after cross-checking the initial
+    condition; a mismatch there is an internal inconsistency."""
+    if F.order < 5:
         raise ValueError("order must be at least 5 for a non-empty residual window")
-    u = kdv_field(table, order)
-    ic_reliable = order - 2
-    expected = kdv_initial_series(ic_reliable)
-    got = u.restrict((1,)).truncated(ic_reliable)
-    if got != expected:
+    flow, initial = kdv_residuals(F)
+    if not initial.is_zero():
         raise ConsistencyError("initial condition of the KdV field is off")
-    residual = u.partial(3) - u * u.partial(1) - u.partial(1).partial(1).partial(1) * Fraction(1, 12)
-    return residual.truncated(order - 5)
+    return flow

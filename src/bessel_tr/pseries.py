@@ -57,6 +57,57 @@ def mono_str(m: Mono) -> str:
     return "*".join(f"p{i}" if e == 1 else f"p{i}^{e}" for i, e in m)
 
 
+def exp_slices(f: list, one, start, mul_add) -> list:
+    """Degree slices of exp F from those of F, which has F_0 = 0.
+
+    The Euler operator E = sum_i i p_i d/dp_i multiplies a slice of weighted
+    degree d by d and is a derivation, so E exp F = (E F) exp F reads
+
+        d Z_d = sum_{k=1}^{d} k F_k Z_{d-k},   Z_0 = 1,
+
+    one slice product per (d, k). Slices are whatever `mul_add` combines:
+    `start()` returns an empty accumulator and `start(s)` one equal to slice
+    s, `mul_add(acc, q, a, b)` returns acc + q a b for a rational q, and
+    `one` is the unit slice. Rationals (`Fraction`) and {mono: coeff} dicts
+    (`dict`) are the two kinds in use.
+    """
+    z = [one]
+    for d in range(1, len(f)):
+        acc = start()
+        for k in range(1, d + 1):
+            if f[k]:
+                acc = mul_add(acc, Fraction(k, d), f[k], z[d - k])
+        z.append(acc)
+    return z
+
+
+def log_slices(z: list, start, mul_add) -> list:
+    """Degree slices of log Z from those of Z, which has Z_0 = 1: the Euler
+    recursion of `exp_slices` solved for F_d,
+
+        F_d = Z_d - (1/d) sum_{k=1}^{d-1} k F_k Z_{d-k}.
+    """
+    f = [start()]
+    for d in range(1, len(z)):
+        acc = start(z[d])
+        for k in range(1, d):
+            if f[k]:
+                acc = mul_add(acc, Fraction(-k, d), f[k], z[d - k])
+        f.append(acc)
+    return f
+
+
+def _slice_mul_add(acc: dict, q: Fraction, a: dict, b: dict) -> dict:
+    """acc += q a b for slices held as {mono: coeff}; zero sums are dropped
+    when the slices become a series."""
+    for ma, ca in a.items():
+        qa = q * ca
+        for mb, cb in b.items():
+            key = mono_mul(ma, mb)
+            acc[key] = acc.get(key, 0) + qa * cb
+    return acc
+
+
 class PSeries:
     """Truncated element of Q[p1, p3, p5, ...], graded by weighted degree."""
 
@@ -158,32 +209,31 @@ class PSeries:
 
     __rmul__ = __mul__
 
+    def slices(self) -> list[dict]:
+        """Terms bucketed by weighted degree: slot d holds the degree-d terms."""
+        out: list[dict] = [{} for _ in range(max(self.order, 0) + 1)]
+        for m, c in self.terms.items():
+            out[mono_degree(m)][m] = c
+        return out
+
+    @classmethod
+    def from_slices(cls, slices: list[dict], order: int) -> "PSeries":
+        return cls({m: c for s in slices for m, c in s.items()}, order)
+
     def exp(self) -> "PSeries":
-        """exp as the truncated power sum; requires zero constant term."""
+        """exp by the Euler recursion over degree slices (`exp_slices`);
+        requires zero constant term."""
         if self.constant_term():
             raise ValueError("exp needs a zero constant term")
-        acc = PSeries.one(self.order)
-        power = PSeries.one(self.order)
-        for k in range(1, self.order + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            acc = acc + power * Fraction(1, factorial(k))
-        return acc
+        z = exp_slices(self.slices(), {(): Fraction(1)}, dict, _slice_mul_add)
+        return PSeries.from_slices(z, self.order)
 
     def log(self) -> "PSeries":
-        """Mercator series of self - 1; requires constant term exactly 1."""
+        """log by the Euler recursion over degree slices (`log_slices`);
+        requires constant term exactly 1."""
         if self.constant_term() != 1:
             raise ValueError("log needs constant term 1")
-        x = self - PSeries.one(self.order)
-        acc = PSeries.zero(self.order)
-        power = PSeries.one(self.order)
-        for k in range(1, self.order + 1):
-            power = power * x
-            if power.is_zero():
-                break
-            acc = acc + power * Fraction((-1) ** (k + 1), k)
-        return acc
+        return PSeries.from_slices(log_slices(self.slices(), dict, _slice_mul_add), self.order)
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: mono_sort_key(kv[0]))

@@ -113,9 +113,9 @@ class OmegaCoeffs:
 class CorrelationEngine:
     """Residue-recursion evaluator with a shared memo of lower tensors.
 
-    Tensors are computed in increasing 2g - 2 + n; the memo behaves as an
-    idempotent-insert map (duplicate equal inserts are legal, differing
-    values are fatal).
+    Tensors are computed in increasing 2g - 2 + n, each once: a tensor only
+    requests tensors of lower 2g - 2 + n, so none is requested while it is
+    being computed.
     """
 
     # extra expansion indices beyond the classification bound, so that the
@@ -134,11 +134,7 @@ class CorrelationEngine:
             raise ValueError(f"(g, n) = ({g}, {n}) is not produced by the recursion")
         key = (g, n)
         if key not in self._tensors:
-            value = self._compute(g, n)
-            existing = self._tensors.get(key)
-            if existing is not None and existing.coeffs != value.coeffs:
-                raise ConsistencyError(f"conflicting tensors for {key}")
-            self._tensors[key] = value
+            self._tensors[key] = self._compute(g, n)
         return self._tensors[key]
 
     def _compute(self, g: int, n: int) -> OmegaCoeffs:

@@ -22,12 +22,11 @@ from .correlators import (
 )
 from .operators import (
     evolve,
-    kdv_field,
-    kdv_initial_series,
+    kdv_residuals,
     virasoro_annihilation_check,
     virasoro_commutator_holds,
 )
-from .pseries import PSeries, mono, partition_function
+from .pseries import PSeries, free_energy, mono
 from .spectral import CorrelationEngine, bessel_curve, stable_pairs, symmetric_table
 from .wave import (
     conjugated_residual,
@@ -36,6 +35,28 @@ from .wave import (
     sk_identity_check,
     wave_series,
 )
+
+
+class RunContext:
+    """What the targets of one verify run share: one correlator table, and
+    the free energy F and partition function Z = exp F per order, each
+    built on first use. Targets only read F and Z; every series operation
+    returns a new series."""
+
+    def __init__(self):
+        self.table = CorrelatorTable()
+        self._free_energy: dict[int, PSeries] = {}
+        self._partition: dict[int, PSeries] = {}
+
+    def free_energy(self, order: int) -> PSeries:
+        if order not in self._free_energy:
+            self._free_energy[order] = free_energy(self.table, order)
+        return self._free_energy[order]
+
+    def partition(self, order: int) -> PSeries:
+        if order not in self._partition:
+            self._partition[order] = self.free_energy(order).exp()
+        return self._partition[order]
 
 
 def _report(check: str, order: int, reliable: int, residuals: list) -> dict:
@@ -52,63 +73,56 @@ def _mono_json(m) -> dict:
     return {str(i): e for i, e in sorted(m)}
 
 
-def virasoro_report(order: int, m_max: int) -> dict:
-    return virasoro_annihilation_check(partition_function(CorrelatorTable(), order), m_max)
-
-
 def commutator_report(order: int, m_max: int) -> dict:
     """[L_m, L_n] = (m - n) L_{m+n} on every monomial of degree <= order.
 
     Working truncation is padded so the comparison is complete for exact
-    monomial inputs.
+    monomial inputs. Each L_k of a basis monomial is computed once and
+    shared by every (m, n) pair that needs it.
     """
     pad = 4 * m_max + 2
     basis = [PSeries.one(pad)]
     for d in range(1, order + 1):
         for parts in odd_partitions(d):
             basis.append(PSeries({mono((p, 1) for p in parts): Fraction(1)}, d + pad))
+    images = [{} for _ in basis]
     residuals = []
     for m in range(m_max + 1):
         for n in range(m, m_max + 1):
-            for series in basis:
-                if not virasoro_commutator_holds(m, n, series):
+            for series, applied in zip(basis, images):
+                if not virasoro_commutator_holds(m, n, series, applied):
                     term = next(iter(series.terms), ())
                     residuals.append({"m": m, "n": n, "mono": _mono_json(term)})
     return _report("commutator", order, order, residuals)
 
 
-def cutjoin_report(order: int) -> dict:
-    flowed = evolve(order)
-    exponentiated = partition_function(CorrelatorTable(), order)
-    diff = flowed - exponentiated
+def cutjoin_report(Z: PSeries) -> dict:
+    """The cut-and-join flow against Z = exp F at the same order."""
+    diff = evolve(Z.order) - Z
     residuals = [
         {"mono": _mono_json(mo), "coeff": str(c)} for mo, c in diff.sorted_terms()
     ]
-    return _report("cutjoin", order, order, residuals)
+    return _report("cutjoin", Z.order, Z.order, residuals)
 
 
-def kdv_report(order: int) -> dict:
-    table = CorrelatorTable()
-    u = kdv_field(table, order)
-    residuals = []
-    flow = (
-        u.partial(3) - u * u.partial(1) - u.partial(1).partial(1).partial(1) * Fraction(1, 12)
-    ).truncated(order - 5)
-    for mo, c in flow.sorted_terms():
-        residuals.append({"part": "flow", "mono": _mono_json(mo), "coeff": str(c)})
-    ic_diff = u.restrict((1,)).truncated(order - 2) - kdv_initial_series(order - 2)
-    for mo, c in ic_diff.sorted_terms():
+def kdv_report(F: PSeries) -> dict:
+    flow, initial = kdv_residuals(F)
+    residuals = [
+        {"part": "flow", "mono": _mono_json(mo), "coeff": str(c)} for mo, c in flow.sorted_terms()
+    ]
+    for mo, c in initial.sorted_terms():
         residuals.append({"part": "initial", "mono": _mono_json(mo), "coeff": str(c)})
-    return _report("kdv", order, order - 5, residuals)
+    return _report("kdv", F.order, F.order - 5, residuals)
 
 
-def quantum_curve_report(order: int) -> dict:
+def quantum_curve_report(Z: PSeries) -> dict:
+    order = Z.order
     residuals = []
     psi_closed = wave_series(order)
     for d, c in enumerate(quantum_curve_residual(psi_closed).coeffs):
         if c:
             residuals.append({"route": "closed-form", "power": d, "coeff": str(c)})
-    psi_spec = principal_specialize(partition_function(CorrelatorTable(), order))
+    psi_spec = principal_specialize(Z)
     for d, c in enumerate(quantum_curve_residual(psi_spec).coeffs):
         if c:
             residuals.append({"route": "specialised", "power": d, "coeff": str(c)})
@@ -123,8 +137,7 @@ def quantum_curve_report(order: int) -> dict:
     return _report("quantum-curve", order, order - 1, residuals)
 
 
-def string_dilaton_report(chi_max: int) -> dict:
-    table = CorrelatorTable()
+def string_dilaton_report(table: CorrelatorTable, chi_max: int) -> dict:
     residuals = []
     for g, parts in support_keys(chi_max):
         if not string_dilaton_holds(table, g, parts):
@@ -132,10 +145,9 @@ def string_dilaton_report(chi_max: int) -> dict:
     return _report("string-dilaton", chi_max, chi_max, residuals)
 
 
-def oracle_equivalence_report(chi_max: int) -> dict:
+def oracle_equivalence_report(table: CorrelatorTable, chi_max: int) -> dict:
     """Residue pipeline against the closed recursion on every index tuple
     with 2g - 2 + n <= chi_max, both directions."""
-    table = CorrelatorTable()
     engine = CorrelationEngine(bessel_curve())
     residuals = []
     expected = {(g, parts): table.value(g, parts) for g, parts in support_keys(chi_max)}
@@ -156,10 +168,10 @@ def oracle_equivalence_report(chi_max: int) -> dict:
     return _report("oracle-equivalence", chi_max, chi_max, residuals)
 
 
-def sk_identity_report(order: int) -> dict:
-    ok = sk_identity_check(CorrelatorTable(), order)
+def sk_identity_report(table: CorrelatorTable, Z: PSeries) -> dict:
+    ok = sk_identity_check(table, Z)
     residuals = [] if ok else [{"identity": "sk-log"}]
-    report = _report("sk-identity", order, order, residuals)
+    report = _report("sk-identity", Z.order, Z.order, residuals)
     # the two leading WKB terms are constants outside the series ring
     report["prefactor"] = {"S0": "-z", "S1": "-(1/2)*log(z)"}
     return report
@@ -167,16 +179,25 @@ def sk_identity_report(order: int) -> dict:
 
 # name -> (the least value of each parameter at which the target checks
 # anything, below which its reliable window is empty; its report function,
-# called with (order, chi_max, m_max))
+# called with (context, order, chi_max, m_max))
 _TARGETS = {
-    "virasoro": ({"order": 1, "m_max": 0}, lambda o, c, m: virasoro_report(o, m)),
-    "commutator": ({"order": 0, "m_max": 0}, lambda o, c, m: commutator_report(o, m)),
-    "cutjoin": ({"order": 0}, lambda o, c, m: cutjoin_report(o)),
-    "kdv": ({"order": 5}, lambda o, c, m: kdv_report(o)),
-    "quantum-curve": ({"order": 1}, lambda o, c, m: quantum_curve_report(o)),
-    "string-dilaton": ({"chi_max": 1}, lambda o, c, m: string_dilaton_report(c)),
-    "oracle-equivalence": ({"chi_max": 1}, lambda o, c, m: oracle_equivalence_report(c)),
-    "sk-identity": ({"order": 0}, lambda o, c, m: sk_identity_report(o)),
+    "virasoro": (
+        {"order": 1, "m_max": 0},
+        lambda ctx, o, c, m: virasoro_annihilation_check(ctx.partition(o), m),
+    ),
+    "commutator": ({"order": 0, "m_max": 0}, lambda ctx, o, c, m: commutator_report(o, m)),
+    "cutjoin": ({"order": 0}, lambda ctx, o, c, m: cutjoin_report(ctx.partition(o))),
+    "kdv": ({"order": 5}, lambda ctx, o, c, m: kdv_report(ctx.free_energy(o))),
+    "quantum-curve": ({"order": 1}, lambda ctx, o, c, m: quantum_curve_report(ctx.partition(o))),
+    "string-dilaton": ({"chi_max": 1}, lambda ctx, o, c, m: string_dilaton_report(ctx.table, c)),
+    "oracle-equivalence": (
+        {"chi_max": 1},
+        lambda ctx, o, c, m: oracle_equivalence_report(ctx.table, c),
+    ),
+    "sk-identity": (
+        {"order": 0},
+        lambda ctx, o, c, m: sk_identity_report(ctx.table, ctx.partition(o)),
+    ),
 }
 TARGETS = tuple(_TARGETS)
 
@@ -190,10 +211,14 @@ def empty_window(name: str, **params: int) -> str | None:
     return None
 
 
-def run_target(name: str, *, order: int, chi_max: int, m_max: int) -> dict:
+def run_target(
+    name: str, *, order: int, chi_max: int, m_max: int, context: RunContext | None = None
+) -> dict:
+    """Report of target `name`; the targets of one run share `context`
+    (a fresh one when None)."""
     if name not in _TARGETS:
         raise ValueError(f"unknown verify target {name!r}")
     reason = empty_window(name, order=order, chi_max=chi_max, m_max=m_max)
     if reason:
         raise ValueError(reason)
-    return _TARGETS[name][1](order, chi_max, m_max)
+    return _TARGETS[name][1](context or RunContext(), order, chi_max, m_max)

@@ -27,7 +27,11 @@ from math import factorial, prod
 
 from .correlators import CorrelatorTable, odd_partitions
 from .formal import double_factorial
-from .pseries import PSeries, mono, mono_degree, partition_function
+from .pseries import PSeries, exp_slices, log_slices, mono, mono_degree
+
+
+def _scalar_mul_add(acc: Fraction, q: Fraction, a: Fraction, b: Fraction) -> Fraction:
+    return acc + q * a * b
 
 
 class OneVarSeries:
@@ -77,22 +81,17 @@ class OneVarSeries:
     __rmul__ = __mul__
 
     def exp(self) -> "OneVarSeries":
+        """exp by the Euler recursion of `pseries.exp_slices`, one
+        coefficient per slice."""
         if self.coeffs[0]:
             raise ValueError("exp needs a zero constant term")
-        out = [Fraction(1)] + [Fraction(0)] * self.order
-        for d in range(1, self.order + 1):
-            acc = sum((k * self.coeffs[k] * out[d - k] for k in range(1, d + 1)), Fraction(0))
-            out[d] = acc / d
-        return OneVarSeries(out)
+        return OneVarSeries(exp_slices(self.coeffs, Fraction(1), Fraction, _scalar_mul_add))
 
     def log(self) -> "OneVarSeries":
+        """log by the Euler recursion of `pseries.log_slices`."""
         if self.coeffs[0] != 1:
             raise ValueError("log needs constant term 1")
-        out = [Fraction(0)] * (self.order + 1)
-        for d in range(1, self.order + 1):
-            acc = sum((k * out[k] * self.coeffs[d - k] for k in range(1, d)), Fraction(0))
-            out[d] = self.coeffs[d] - acc / d
-        return OneVarSeries(out)
+        return OneVarSeries(log_slices(self.coeffs, Fraction, _scalar_mul_add))
 
     def to_json_dict(self) -> dict:
         return {"var": "hbar_over_z", "coeffs": [str(c) for c in self.coeffs]}
@@ -162,11 +161,12 @@ def conjugated_residual(psi: OneVarSeries) -> OneVarSeries:
     )
 
 
-def sk_identity_check(table: CorrelatorTable, order: int) -> bool:
-    """log of the specialised partition function under hbar -> -hbar against
-    the (-1)^n-weighted correlator sums, one hbar-power at a time."""
-    log_psi = principal_specialize(partition_function(table, order)).log()
-    for d in range(order + 1):
+def sk_identity_check(table: CorrelatorTable, Z: PSeries) -> bool:
+    """log of the specialised partition function Z under hbar -> -hbar
+    against the (-1)^n-weighted correlator sums of `table`, one hbar-power
+    at a time through Z.order."""
+    log_psi = principal_specialize(Z).log()
+    for d in range(Z.order + 1):
         lhs = log_psi.coefficient(d) * (-1) ** d
         rhs = Fraction(0)
         for parts in odd_partitions(d):

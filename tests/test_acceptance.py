@@ -137,7 +137,7 @@ def test_criterion_5_cut_and_join_flow():
 
 def test_criterion_6_kdv():
     t = CorrelatorTable()
-    u = kdv_field(t, 8)
+    u = kdv_field(free_energy(t, 8))
     residual = (
         u.partial(3)
         - u * u.partial(1)

@@ -4,6 +4,7 @@ import pytest
 
 from bessel_tr.cli import main
 from bessel_tr.spectral import CorrelationEngine, airy_curve, omega_records, stable_pairs
+from bessel_tr.verify import TARGETS
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +96,21 @@ def test_verify_all_targets(capsys):
     assert all(r["status"] == "pass" for r in reports)
     by_name = {r["check"]: r for r in reports}
     assert by_name["sk-identity"]["prefactor"] == {"S0": "-z", "S1": "-(1/2)*log(z)"}
+
+
+@pytest.mark.parametrize("order, chi_max", [(6, 6), (9, 7)])
+def test_verify_shared_context_matches_separate_runs(capsys, order, chi_max):
+    # one run shares its table, F and Z among its targets; in either order,
+    # no target may change what a later one reads
+    flags = ["--order", str(order), "--chi-max", str(chi_max)]
+    for names in (TARGETS, TARGETS[::-1]):
+        code, together = run_cli(capsys, "verify", "--targets", ",".join(names), *flags)
+        assert code == 0
+        separate = "".join(
+            run_cli(capsys, "verify", "--targets", name, *flags)[1] for name in names
+        )
+        assert together == separate
+        assert len(together.splitlines()) == 8
 
 
 def test_verify_unknown_target(capsys):

@@ -118,13 +118,13 @@ def test_evolve_matches_exponential_pipeline():
 
 
 def test_kdv_residual_vanishes():
-    assert kdv_residual(CorrelatorTable(), 8).is_zero()
-    assert kdv_residual(CorrelatorTable(), 9).is_zero()
+    assert kdv_residual(free_energy(CorrelatorTable(), 8)).is_zero()
+    assert kdv_residual(free_energy(CorrelatorTable(), 9)).is_zero()
 
 
 def test_kdv_field_low_coefficients():
     # frozen expansion: u = 1/8 + x/4 + 3x^2/8 + x^3/2 + 9t/32 + 5x^4/8 + 45tx/32 + ...
-    u = kdv_field(CorrelatorTable(), 8)
+    u = kdv_field(free_energy(CorrelatorTable(), 8))
     assert u.constant_term() == Fraction(1, 8)
     assert u.coefficient(M((1, 1))) == Fraction(1, 4)
     assert u.coefficient(M((1, 2))) == Fraction(3, 8)
@@ -135,7 +135,7 @@ def test_kdv_field_low_coefficients():
 
 
 def test_kdv_initial_condition():
-    u0 = kdv_field(CorrelatorTable(), 8).restrict((1,))
+    u0 = kdv_field(free_energy(CorrelatorTable(), 8)).restrict((1,))
     for k in range(7):
         key = M((1, k)) if k else ()
         assert u0.coefficient(key) == Fraction(k + 1, 8)
@@ -144,6 +144,6 @@ def test_kdv_initial_condition():
 
 def test_kdv_dispersionless_limit():
     # every term of u carries hbar^(degree + 2), so u -> 0 with hbar
-    u = kdv_field(CorrelatorTable(), 8)
+    u = kdv_field(free_energy(CorrelatorTable(), 8))
     assert all(mono_degree(m) + 2 >= 2 for m in u.terms)
     assert free_energy(CorrelatorTable(), 8).restrict((1, 3)).terms

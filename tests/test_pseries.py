@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bessel_tr.correlators import CorrelatorTable, in_support
 from bessel_tr.pseries import (
@@ -12,6 +15,7 @@ from bessel_tr.pseries import (
     mono_str,
     partition_function,
 )
+from bessel_tr.wave import principal_specialize
 
 
 def M(*pairs):
@@ -153,3 +157,71 @@ def test_restrict():
     restricted = F.restrict((1, 3))
     assert restricted.coefficient(M((5, 1), (1, 1))) == 0
     assert restricted.coefficient(M((3, 2))) == Fraction(63, 1024)
+
+
+# property tests draw a fixed example stream (derandomize), so the suite is deterministic
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def sparse_series(draw, constant=0, max_order=12):
+    """A random sparse series of order <= max_order with the given constant term."""
+    order = draw(st.integers(0, max_order))
+    terms = {(): Fraction(constant)}
+    for pairs in draw(
+        st.lists(
+            st.lists(
+                st.tuples(st.sampled_from((1, 3, 5)), st.integers(1, 2)), min_size=1, max_size=2
+            ),
+            max_size=5,
+        )
+    ):
+        terms[mono(pairs)] = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
+    return PSeries(terms, order)
+
+
+def power_sum_exp(F: PSeries) -> PSeries:
+    """exp F as the truncated power sum sum_k F^k / k!: an oracle built on
+    the product alone."""
+    acc = PSeries.one(F.order)
+    power = PSeries.one(F.order)
+    for k in range(1, F.order + 1):
+        power = power * F
+        acc = acc + power * Fraction(1, factorial(k))
+    return acc
+
+
+@PROPERTY
+@given(sparse_series())
+def test_exp_matches_power_sum(F):
+    assert F.exp() == power_sum_exp(F)
+
+
+@PROPERTY
+@given(sparse_series())
+def test_log_inverts_exp(F):
+    assert F.exp().log() == F
+
+
+@PROPERTY
+@given(sparse_series(constant=1))
+def test_exp_inverts_log(Z):
+    assert Z.log().exp() == Z
+
+
+@PROPERTY
+@given(sparse_series(), sparse_series())
+def test_exp_turns_sums_into_products(a, b):
+    assert (a + b).exp() == a.exp() * b.exp()
+
+
+@PROPERTY
+@given(sparse_series())
+def test_exp_commutes_with_principal_specialisation(F):
+    assert principal_specialize(F.exp()) == principal_specialize(F).exp()
+    assert principal_specialize(F.exp()).log() == principal_specialize(F)
+
+
+def test_exp_matches_power_sum_on_free_energy():
+    F = free_energy(CorrelatorTable(), 10)
+    assert F.exp() == power_sum_exp(F)

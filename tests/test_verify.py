@@ -1,11 +1,16 @@
+from fractions import Fraction
+
 import pytest
 
 from bessel_tr.correlators import CorrelatorTable
-from bessel_tr.operators import evolve
+from bessel_tr.formal import ConsistencyError
+from bessel_tr.operators import evolve, kdv_residual
 from bessel_tr.pseries import free_energy
 from bessel_tr.verify import (
     TARGETS,
+    RunContext,
     empty_window,
+    kdv_report,
     oracle_equivalence_report,
     run_target,
     string_dilaton_report,
@@ -14,15 +19,36 @@ from bessel_tr.verify import (
 
 def test_free_energy_matches_cut_and_join_log():
     # closed recursion against the cut-and-join flow: two independent routes
-    assert free_energy(CorrelatorTable(), 18) == evolve(18).log()
+    assert free_energy(CorrelatorTable(), 24) == evolve(24).log()
 
 
 def test_oracle_equivalence_through_chi_twelve():
-    assert oracle_equivalence_report(12)["status"] == "pass"
+    assert oracle_equivalence_report(CorrelatorTable(), 12)["status"] == "pass"
 
 
 def test_string_dilaton_through_chi_fourteen():
-    assert string_dilaton_report(14)["status"] == "pass"
+    assert string_dilaton_report(CorrelatorTable(), 14)["status"] == "pass"
+
+
+def test_kdv_initial_condition_mismatch():
+    # C(1; 1, 1) = 1/8 is the constant term of u; a wrong one breaks u(x, 0)
+    table = CorrelatorTable()
+    table._entries[(1, (1, 1))] = Fraction(1, 4)
+    F = free_energy(table, 7)
+    with pytest.raises(ConsistencyError, match="initial condition"):
+        kdv_residual(F)
+    report = kdv_report(F)
+    assert report["status"] == "fail"
+    assert {"part": "initial", "mono": {}, "coeff": "1/8"} in report["residual_terms"]
+
+
+def test_run_context_builds_each_series_once():
+    context = RunContext()
+    F = context.free_energy(8)
+    assert context.partition(8) is context.partition(8)
+    assert context.free_energy(8) is F
+    assert context.partition(8) == F.exp()
+    assert F == free_energy(context.table, 8)
 
 
 def test_every_target_has_a_window_at_the_defaults():

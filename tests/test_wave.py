@@ -106,9 +106,9 @@ def test_one_var_series_json():
 
 def test_sk_identity():
     t = CorrelatorTable()
-    assert sk_identity_check(t, 3)
-    assert sk_identity_check(t, 6)
-    assert sk_identity_check(t, 8)
+    assert sk_identity_check(t, partition_function(t, 3))
+    assert sk_identity_check(t, partition_function(t, 6))
+    assert sk_identity_check(t, partition_function(t, 8))
 
 
 def test_sk_identity_first_levels_by_hand():
