@@ -5,104 +5,16 @@ recursion, the partition function over the odd variables, and mechanical
 verification of its integrability structure: Virasoro annihilation, the
 cut-and-join flow, the KdV residual, string/dilaton, and the quantum-curve
 differential equation for the wave function. All arithmetic is exact.
+
+The package root exports what the README's worked example imports; everything
+else is imported from its module (`bessel_tr.spectral`, `bessel_tr.verify`, ...).
 """
 
-from .correlators import (
-    CorrelatorTable,
-    canonical_parts,
-    closed_form,
-    family_parts,
-    in_support,
-    odd_partitions,
-    string_dilaton_holds,
-    support_keys,
-)
-from .formal import (
-    ConsistencyError,
-    LaurentPoly,
-    Rational,
-    double_factorial,
-    format_rational,
-    parse_rational,
-)
-from .operators import (
-    cut_and_join,
-    evolve,
-    kdv_field,
-    kdv_initial_series,
-    kdv_residual,
-    virasoro_annihilation_check,
-    virasoro_apply,
-    virasoro_commutator_holds,
-)
-from .pseries import PSeries, free_energy, mono, mono_degree, partition_function
-from .spectral import (
-    CorrelationEngine,
-    OmegaCoeffs,
-    SpectralCurve,
-    airy_curve,
-    bessel_curve,
-    compute_omega,
-    kernel_coeffs,
-    omega_records,
-    stable_pairs,
-    symmetric_table,
-)
-from .wave import (
-    OneVarSeries,
-    conjugated_residual,
-    principal_specialize,
-    quantum_curve_residual,
-    sk_identity_check,
-    wave_coeff,
-    wave_series,
-)
+from .correlators import CorrelatorTable
+from .pseries import partition_function
+from .spectral import compute_omega
+from .wave import principal_specialize
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConsistencyError",
-    "CorrelationEngine",
-    "CorrelatorTable",
-    "LaurentPoly",
-    "OmegaCoeffs",
-    "OneVarSeries",
-    "PSeries",
-    "Rational",
-    "SpectralCurve",
-    "airy_curve",
-    "bessel_curve",
-    "canonical_parts",
-    "closed_form",
-    "compute_omega",
-    "conjugated_residual",
-    "cut_and_join",
-    "double_factorial",
-    "evolve",
-    "family_parts",
-    "format_rational",
-    "free_energy",
-    "in_support",
-    "kdv_field",
-    "kdv_initial_series",
-    "kdv_residual",
-    "kernel_coeffs",
-    "mono",
-    "mono_degree",
-    "odd_partitions",
-    "omega_records",
-    "parse_rational",
-    "partition_function",
-    "principal_specialize",
-    "quantum_curve_residual",
-    "sk_identity_check",
-    "stable_pairs",
-    "string_dilaton_holds",
-    "support_keys",
-    "symmetric_table",
-    "virasoro_annihilation_check",
-    "virasoro_apply",
-    "virasoro_commutator_holds",
-    "wave_coeff",
-    "wave_series",
-]
+__all__ = ["CorrelatorTable", "compute_omega", "partition_function", "principal_specialize"]

@@ -26,8 +26,6 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial, prod
 
-from .formal import ConsistencyError
-
 
 def canonical_parts(parts) -> tuple[int, ...]:
     """Sorted-descending tuple; the canonical memo key."""
@@ -96,7 +94,7 @@ class CorrelatorTable:
         got = self._entries.get(key)
         if got is None:
             got = self.recursion_step(g, parts, 0)
-            self._store(key, got)
+            self._entries[key] = got
         return got
 
     def _lookup(self, g: int, parts: tuple[int, ...]) -> Fraction:
@@ -141,13 +139,6 @@ class CorrelatorTable:
             quad += alpha * beta * inner
         total += quad / 2
         return total / first
-
-    def _store(self, key, value: Fraction) -> None:
-        # idempotent insert: re-storing an equal value is legal, a differing one is fatal
-        existing = self._entries.get(key)
-        if existing is not None and existing != value:
-            raise ConsistencyError(f"conflicting values for {key}: {existing} vs {value}")
-        self._entries[key] = value
 
 
 _CLOSED_FAMILIES: dict[tuple[int, tuple[int, ...]], tuple[Fraction, int]] = {

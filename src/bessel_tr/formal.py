@@ -1,29 +1,17 @@
 """Exact arithmetic building blocks.
 
 Big rationals (`fractions.Fraction`), double factorials, and one-variable
-Laurent polynomials with residue extraction. Everything downstream is built
-on these; no floating point exists anywhere in the package.
+Laurent polynomials with a truncated reciprocal. Everything downstream is
+built on these; no floating point exists anywhere in the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
-
 class ConsistencyError(RuntimeError):
-    """An internal invariant was violated (asymmetric tensor, conflicting
-    memo insert, failed built-in cross-check). Never raised on valid input."""
-
-
-def format_rational(q: Fraction) -> str:
-    """Lowest-terms "p/q" string; plain "n" for integers."""
-    return str(q)
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
+    """An internal invariant was violated (asymmetric tensor, failed
+    built-in cross-check). Never raised on valid input."""
 
 
 def double_factorial(n: int) -> int:
@@ -55,23 +43,8 @@ class LaurentPoly:
                 cleaned[int(k)] = v
         self.coeffs = cleaned
 
-    @classmethod
-    def monomial(cls, exponent: int, coefficient=1) -> "LaurentPoly":
-        return cls({exponent: Fraction(coefficient)})
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls({})
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coefficient(self, exponent: int) -> Fraction:
-        return self.coeffs.get(exponent, Fraction(0))
-
-    def residue(self) -> Fraction:
-        """Coefficient of z^(-1), i.e. the residue at z = 0 of self * dz."""
-        return self.coefficient(-1)
 
     def reflect(self) -> "LaurentPoly":
         """Substitute z -> -z."""
@@ -97,18 +70,6 @@ class LaurentPoly:
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            out: dict = {}
-            for ka, va in self.coeffs.items():
-                for kb, vb in other.coeffs.items():
-                    k = ka + kb
-                    out[k] = out.get(k, Fraction(0)) + va * vb
-            return LaurentPoly(out)
-        return LaurentPoly({k: v * Fraction(other) for k, v in self.coeffs.items()})
-
-    __rmul__ = __mul__
 
     def inverse(self, max_exponent: int) -> "LaurentPoly":
         """Truncated reciprocal: agrees with 1/self on all exponents <= max_exponent.

@@ -40,7 +40,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .formal import ConsistencyError
 from .pseries import PSeries, mono_degree
 
 
@@ -215,14 +214,3 @@ def kdv_residuals(F: PSeries) -> tuple[PSeries, PSeries]:
     flow = u.partial(3) - u * u.partial(1) - u.partial(1).partial(1).partial(1) * Fraction(1, 12)
     initial = u.restrict((1,)).truncated(F.order - 2) - kdv_initial_series(F.order - 2)
     return flow.truncated(F.order - 5), initial
-
-
-def kdv_residual(F: PSeries) -> PSeries:
-    """The KdV residual of `kdv_residuals`, after cross-checking the initial
-    condition; a mismatch there is an internal inconsistency."""
-    if F.order < 5:
-        raise ValueError("order must be at least 5 for a non-empty residual window")
-    flow, initial = kdv_residuals(F)
-    if not initial.is_zero():
-        raise ConsistencyError("initial condition of the KdV field is off")
-    return flow

@@ -123,16 +123,8 @@ class PSeries:
         self.terms = cleaned
 
     @classmethod
-    def zero(cls, order: int) -> "PSeries":
-        return cls({}, order)
-
-    @classmethod
     def one(cls, order: int) -> "PSeries":
         return cls({(): Fraction(1)}, order)
-
-    @classmethod
-    def variable(cls, index: int, order: int) -> "PSeries":
-        return cls({mono([(index, 1)]): Fraction(1)}, order)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -144,9 +136,6 @@ class PSeries:
 
     def constant_term(self) -> Fraction:
         return self.terms.get((), Fraction(0))
-
-    def max_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
 
     def truncated(self, order: int) -> "PSeries":
         """Drop terms of weighted degree above `order`; negative means empty."""
@@ -246,14 +235,6 @@ class PSeries:
                 for m, c in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PSeries":
-        terms = {
-            mono((int(i), e) for i, e in t["mono"].items()): Fraction(t["coeff"])
-            for t in data["terms"]
-        }
-        return cls(terms, data["order"])
 
     def __eq__(self, other) -> bool:
         return (

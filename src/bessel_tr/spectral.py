@@ -80,27 +80,6 @@ def airy_curve() -> SpectralCurve:
     return SpectralCurve(LaurentPoly({1: 1}), "airy")
 
 
-def kernel_coeffs(curve: SpectralCurve, order: int) -> dict[tuple[int, int], Fraction]:
-    """Expansion of the recursion kernel times dz/dz1 for |z| < |z1|.
-
-    Returns c[(a, b)] with K(z1, z) dz/dz1 = sum c[a, b] z^a z1^(-b): the
-    geometric series -1/D(z) * sum_{t < order} z^t z1^(-t-1), with 1/D
-    truncated to `order` terms.
-    """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    den = curve.kernel_denominator()
-    if den.is_zero():
-        raise ValueError(f"curve {curve.label!r}: y(z) - y(-z) vanishes identically")
-    inv = den.inverse(-den.valuation() + order - 1)
-    out: dict[tuple[int, int], Fraction] = {}
-    for t in range(order):
-        for u, d in inv.coeffs.items():
-            key = (t + u, t + 1)
-            out[key] = out.get(key, Fraction(0)) - d
-    return {k: v for k, v in out.items() if v}
-
-
 @dataclass(frozen=True)
 class OmegaCoeffs:
     """Coefficient tensor of one correlation differential, over ordered tuples."""

@@ -155,6 +155,7 @@ def test_out_writes_file(tmp_path, capsys):
         ["verify", "--targets", "oracle-equivalence", "--chi-max", "0"],
         ["verify", "--targets", "string-dilaton", "--chi-max", "0"],
         ["verify", "--targets", "cutjoin,kdv", "--order", "4"],
+        ["verify", "--targets", "commutator", "--m-max", "0"],
     ],
 )
 def test_empty_window_exits_two(capsys, argv):

@@ -12,7 +12,6 @@ from bessel_tr.correlators import (
     string_dilaton_holds,
     support_keys,
 )
-from bessel_tr.formal import ConsistencyError
 
 
 def test_base_and_low_values():
@@ -133,13 +132,6 @@ def test_recursion_step_accepts_unsorted_parts():
 def test_recursion_step_rejects_off_support_index():
     with pytest.raises(ValueError):
         CorrelatorTable().recursion_step(2, (5, 1), 0)
-
-
-def test_memo_insert_conflict_is_fatal():
-    t = CorrelatorTable()
-    t.value(2, (3,))
-    with pytest.raises(ConsistencyError):
-        t._store((2, (3,)), Fraction(1, 2))
 
 
 def test_odd_partitions():

@@ -3,12 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bessel_tr.formal import (
-    LaurentPoly,
-    double_factorial,
-    format_rational,
-    parse_rational,
-)
+from bessel_tr.formal import LaurentPoly, double_factorial
 
 
 def test_double_factorial_values():
@@ -24,30 +19,12 @@ def test_double_factorial_rejects_below_minus_one():
         double_factorial(-2)
 
 
-def test_laurent_mul_examples():
-    z = LaurentPoly.monomial(1)
-    zinv = LaurentPoly.monomial(-1)
-    one = LaurentPoly.monomial(0)
-    assert zinv * z == one
-    assert (one + z) * (one - z) == one - LaurentPoly.monomial(2)
-    assert LaurentPoly.monomial(-2) * LaurentPoly.monomial(-1, 3) == LaurentPoly.monomial(-3, 3)
-
-
-def test_residue_examples():
-    a = LaurentPoly({-1: 3, 0: 2, 1: 1})
-    assert a.residue() == 3
-    assert LaurentPoly.monomial(-2).residue() == 0
-    cancelled = LaurentPoly.monomial(-1, 5) + LaurentPoly.monomial(-1, -5)
-    assert cancelled.residue() == 0
-    assert cancelled.is_zero()
-
-
 def test_reflect_examples():
-    z = LaurentPoly.monomial(1)
-    assert z.reflect() == LaurentPoly.monomial(1, -1)
+    z = LaurentPoly({1: 1})
+    assert z.reflect() == LaurentPoly({1: -1})
     a = LaurentPoly({-1: 1, 2: 1})
     assert a.reflect() == LaurentPoly({-1: -1, 2: 1})
-    assert LaurentPoly.monomial(0).reflect() == LaurentPoly.monomial(0)
+    assert LaurentPoly({0: 1}).reflect() == LaurentPoly({0: 1})
 
 
 def _random_poly(rng, span=6, terms=5):
@@ -66,36 +43,21 @@ def test_reflect_is_an_involution():
         assert a.reflect().reflect() == a
 
 
-def test_residue_matches_convolution_formula():
-    rng = random.Random(11)
-    for _ in range(60):
-        a, b = _random_poly(rng), _random_poly(rng)
-        direct = (a * b).residue()
-        convolved = sum(
-            (v * b.coefficient(-1 - k) for k, v in a.coeffs.items()), Fraction(0)
-        )
-        assert direct == convolved
-
-
-def test_rational_string_round_trip():
-    for s in ("3/128", "0", "-1/16", "7", "-115005/4194304"):
-        assert format_rational(parse_rational(s)) == s
-    rng = random.Random(3)
-    for _ in range(100):
-        q = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
-        assert parse_rational(format_rational(q)) == q
-
-
 def test_inverse_truncated():
     a = LaurentPoly({0: 2, 1: 1, 3: -4})
     inv = a.inverse(6)
-    product = a * inv
+    product: dict = {}
+    for ka, va in a.coeffs.items():
+        for kb, vb in inv.coeffs.items():
+            product[ka + kb] = product.get(ka + kb, 0) + va * vb
     for k in range(-2, 7):
-        assert product.coefficient(k) == (1 if k == 0 else 0)
+        assert product.get(k, 0) == (1 if k == 0 else 0)
     airy_like = LaurentPoly({2: 2})
     assert airy_like.inverse(0) == LaurentPoly({-2: Fraction(1, 2)})
 
 
 def test_inverse_of_zero_rejected():
+    cancelled = LaurentPoly({-1: 5}) + LaurentPoly({-1: -5})
+    assert cancelled.is_zero()
     with pytest.raises(ZeroDivisionError):
-        LaurentPoly.zero().inverse(3)
+        cancelled.inverse(3)

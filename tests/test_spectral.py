@@ -12,53 +12,14 @@ from bessel_tr.spectral import (
     SpectralCurve,
     airy_curve,
     bessel_curve,
-    compute_omega,
-    kernel_coeffs,
     omega_records,
     stable_pairs,
     symmetric_table,
 )
 
 
-def test_kernel_coeffs_bessel():
-    # geometric expansion of 1/2 * 1/(z - z1) * dz1/dz
-    got = kernel_coeffs(bessel_curve(), 3)
-    assert got == {
-        (0, 1): Fraction(-1, 2),
-        (1, 2): Fraction(-1, 2),
-        (2, 3): Fraction(-1, 2),
-    }
-
-
-def test_kernel_coeffs_airy():
-    # oracle: hand expansion of -1/2 z^-2 sum_a z^a z1^(-a-1)
-    got = kernel_coeffs(airy_curve(), 3)
-    assert got == {
-        (-2, 1): Fraction(-1, 2),
-        (-1, 2): Fraction(-1, 2),
-        (0, 3): Fraction(-1, 2),
-    }
-
-
-def test_kernel_coeffs_finite_at_order_one():
-    for curve in (bessel_curve(), airy_curve()):
-        got = kernel_coeffs(curve, 1)
-        assert len(got) == 1
-
-
-def test_kernel_matches_denominator_reciprocal():
-    # the kernel row at z1^(-b) is -z^(b-1) times the reciprocal of D(z)
-    for curve in (bessel_curve(), airy_curve()):
-        den = curve.kernel_denominator()
-        inv = den.inverse(10)
-        for (a, b), c in kernel_coeffs(curve, 6).items():
-            assert c == -inv.coefficient(a - b + 1)
-
-
 def test_kernel_rejects_even_y():
     even = SpectralCurve(LaurentPoly({2: 1}), "even")
-    with pytest.raises(ValueError):
-        kernel_coeffs(even, 3)
     with pytest.raises(ValueError):
         CorrelationEngine(even)
 
@@ -66,7 +27,7 @@ def test_kernel_rejects_even_y():
 def test_unsupported_branch_behaviour_rejected():
     cubic = SpectralCurve(LaurentPoly({3: 1}), "cubic")
     with pytest.raises(ValueError):
-        compute_omega(cubic, 1, 1)
+        CorrelationEngine(cubic).omega(1, 1)
 
 
 def test_omega_rejects_unstable_indices():
@@ -156,7 +117,7 @@ def test_symmetric_table_rejects_asymmetry():
 
 
 def test_omega_records_format():
-    records = omega_records(compute_omega(bessel_curve(), 2, 1))
+    records = omega_records(CorrelationEngine(bessel_curve()).omega(2, 1))
     assert records == [{"g": 2, "n": 1, "mu": [3], "value": "3/128"}]
 
 
