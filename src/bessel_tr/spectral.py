@@ -6,25 +6,30 @@ as a Laurent germ. The two curves of interest are y = 1/z (Bessel, a simple
 pole of y at the branch point) and y = z (Airy, y analytic there).
 
 A correlation differential with 2g - 2 + n > 0 has poles only at the branch
-point, so it is stored as the finite coefficient tensor of the expansion
+point, so it is a finite coefficient tensor of the expansion
 
-    omega_{g,n}(z_1, ..., z_n) = sum_mu coeffs[mu] * prod_i mu_i dz_i / z_i^(mu_i + 1)
+    omega_{g,n}(z_1, ..., z_n) = sum_mu U[mu] * prod_i mu_i dz_i / z_i^(mu_i + 1),
 
-over ordered index tuples. The unstable differentials are never stored:
-omega_{0,1} is excluded from the recursion bracket, and omega_{0,2} enters
-only through its two closed forms. With one live variable z near the branch
-point and a formal second variable w,
+symmetric in mu. It is stored as entries keyed (b,) + E: b is the index of
+the live slot z_1 that the residue produces, and E holds the external
+indices sorted descending. A multiset with d distinct parts therefore has d
+entries, one per distinct live index, each read from a different bracket;
+`symmetric_table` checks that they agree, which is the tripwire on the
+recursion. The unstable differentials are never stored: omega_{0,1} is
+excluded from the recursion bracket, and omega_{0,2} enters only through
+its two closed forms. With one live variable z near the branch point and a
+formal second variable w,
 
     omega_{0,2}(z, w)  = sum_{m >= 1} z^(m-1) dz * [m dw / w^(m+1)]
     omega_{0,2}(z, -z) = -dz (x) dz / (4 z^2).
 
-The recursion residue is evaluated per external index assignment: the
-bracket collapses to a one-variable Laurent density in z (the dz^2 is
-stripped; evaluating a slot at -z contributes the sign (-1)^index), the
-kernel contributes the geometric expansion of -1/D(z) * 1/(z_1 - z) with
+The recursion residue is evaluated per sorted external tuple E: the bracket
+collapses to a one-variable Laurent density in z (the dz^2 is stripped;
+evaluating a slot at -z contributes the sign (-1)^index), the kernel
+contributes the geometric expansion of -1/D(z) * 1/(z_1 - z) with
 D(z) = [y(z) - y(-z)] z, and reading the z^(-1) coefficient leaves a
-polynomial in 1/z_1 whose coefficients are the new tensor entries. Each of
-them is one dot product of the density with the truncated series of 1/D.
+polynomial in 1/z_1 whose coefficients are the entries (b; E). Each of them
+is one dot product of the density with the truncated series of 1/D.
 """
 
 from __future__ import annotations
@@ -32,8 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
-from operator import itemgetter
+from math import comb
 
 from .formal import ConsistencyError, LaurentPoly
 
@@ -82,7 +86,8 @@ def airy_curve() -> SpectralCurve:
 
 @dataclass(frozen=True)
 class OmegaCoeffs:
-    """Coefficient tensor of one correlation differential, over ordered tuples."""
+    """Coefficient tensor of one correlation differential, keyed
+    (live index,) + externals sorted descending; see `symmetric_table`."""
 
     g: int
     n: int
@@ -119,38 +124,34 @@ class CorrelationEngine:
     def _compute(self, g: int, n: int) -> OmegaCoeffs:
         cap = self.curve.max_part(g, n) + self.MARGIN
         ext = n - 1
-        # external index tuple -> z-density of the bracket (exponent -> coeff)
+        # sorted external indices -> z-density of the bracket (exponent -> coeff)
         bracket: dict[tuple[int, ...], dict[int, Fraction]] = {}
 
-        # omega_{g-1, n+1}(z, -z, externals)
+        # omega_{g-1, n+1}(z, -z, E): an entry (nu1; R) supplies every nu2
+        # once per distinct value in R, with E = R less one copy of nu2
         if g >= 1:
             if (g - 1, n + 1) == (0, 2):
                 bracket[()] = {-2: Fraction(-1, 4)}
             else:
                 for idx, u in self.omega(g - 1, n + 1).coeffs.items():
-                    nu1, nu2 = idx[0], idx[1]
-                    coeff = u * nu1 * nu2
-                    slot = bracket.setdefault(idx[2:], {})
-                    e = -(nu1 + nu2 + 2)
-                    slot[e] = slot.get(e, 0) + (-coeff if nu2 % 2 else coeff)
+                    nu1 = idx[0]
+                    for i in range(1, n + 1):
+                        nu2 = idx[i]
+                        if i > 1 and idx[i - 1] == nu2:
+                            continue
+                        coeff = u * nu1 * nu2
+                        slot = bracket.setdefault(idx[1:i] + idx[i + 1 :], {})
+                        e = -(nu1 + nu2 + 2)
+                        slot[e] = slot.get(e, 0) + (-coeff if nu2 % 2 else coeff)
 
-        # quadratic sum over ordered pairs (g1, I), (g2, J); pairs containing
-        # omega_{0,1} are excluded before either factor is expanded (the
-        # excluded partner of such a pair is omega_{g,n} itself). The factor
-        # product depends only on (g1, |I|): it is built once, as value tuples
-        # in (I, J) order, and each mask scatters it into slot order.
-        pickers: dict[int, list] = {}
-        for mask in range(1 << ext):
-            left = [i for i in range(ext) if mask >> i & 1]
-            order = left + [i for i in range(ext) if not mask >> i & 1]
-            perm = sorted(range(ext), key=order.__getitem__)
-            # itemgetter of one index returns a bare value; up to one
-            # external slot, (I, J) order already is slot order
-            picker = itemgetter(*perm) if ext > 1 else tuple
-            pickers.setdefault(len(left), []).append(picker)
+        # quadratic sum over pairs (g1, I), (g2, J) of sorted externals;
+        # pairs containing omega_{0,1} are excluded before either factor is
+        # expanded (the excluded partner of such a pair is omega_{g,n}
+        # itself). A pair lands on E = merge(I, J) once for every way of
+        # placing I among the slots of E: prod_v C(m_v(E), m_v(I)).
         for g1 in range(g + 1):
             g2 = g - g1
-            for k, masks in pickers.items():
+            for k in range(ext + 1):
                 if (g1 == 0 and k == 0) or (g2 == 0 and k == ext):
                     continue
                 f1 = self._factor_terms(g1, k, barred=False, cap=cap)
@@ -159,21 +160,21 @@ class CorrelationEngine:
                 f2 = self._factor_terms(g2, ext - k, barred=True, cap=cap)
                 if not f2:
                     continue
-                products = [
-                    (v1 + v2, e1 + e2, c1 * c2) for v1, e1, c1 in f1 for v2, e2, c2 in f2
-                ]
-                for pick in masks:
-                    for values, e, c in products:
-                        key = pick(values)
-                        slot = bracket.get(key)
-                        if slot is None:
-                            bracket[key] = {e: c}
-                        elif e in slot:
-                            slot[e] += c
-                        else:
-                            slot[e] = c
+                for left, d1 in f1.items():
+                    counts = Counter(left)
+                    for right, d2 in f2.items():
+                        weight = 1
+                        for v in set(right).intersection(counts):
+                            weight *= comb(counts[v] + right.count(v), counts[v])
+                        slot = bracket.setdefault(tuple(sorted(left + right, reverse=True)), {})
+                        for e1, c1 in d1.items():
+                            if weight > 1:
+                                c1 *= weight
+                            for e2, c2 in d2.items():
+                                e = e1 + e2
+                                slot[e] = slot[e] + c1 * c2 if e in slot else c1 * c2
 
-        # entry (b - 1, key) is -[z^(-b)] density(z) / D(z) divided by b - 1:
+        # entry (b - 1; E) is -[z^(-b)] density(z) / D(z) divided by b - 1:
         # a dot product of the density with the truncated 1/D, accumulated
         # for b = 1 .. cap + 1 only
         coeffs: dict[tuple[int, ...], Fraction] = {}
@@ -200,25 +201,24 @@ class CorrelationEngine:
         return OmegaCoeffs(g, n, coeffs)
 
     def _factor_terms(self, g_i: int, k: int, barred: bool, cap: int):
-        """Expansion terms (values, z-exponent, coeff) of one product factor.
+        """Expansion terms {I: {z-exponent: coeff}} of one product factor.
 
-        `values` holds the factor's k external indices in slot order. The
+        I holds the factor's k external indices, sorted descending. The
         caller has already excluded omega_{0,1} factors. A barred factor is
         evaluated at -z, which multiplies the term attached to index nu by
         (-1)^nu.
         """
         if g_i == 0 and k == 1:
-            one, minus_one = Fraction(1), Fraction(-1)
-            return [
-                ((m,), m - 1, minus_one if barred and m % 2 else one) for m in range(1, cap + 1)
-            ]
-        out = []
+            return {
+                (m,): {m - 1: Fraction(-1 if barred and m % 2 else 1)} for m in range(1, cap + 1)
+            }
+        out: dict[tuple[int, ...], dict[int, Fraction]] = {}
         for idx, u in self.omega(g_i, k + 1).coeffs.items():
             nu1 = idx[0]
             coeff = u * nu1
             if barred and nu1 % 2:
                 coeff = -coeff
-            out.append((idx[1:], -(nu1 + 1), coeff))
+            out.setdefault(idx[1:], {})[-(nu1 + 1)] = coeff
         return out
 
 
@@ -239,18 +239,20 @@ def stable_pairs(chi_max: int):
 def symmetric_table(omega: OmegaCoeffs) -> dict[tuple[int, ...], Fraction]:
     """Canonicalise a tensor to sorted-descending keys.
 
-    Fails loudly if the tensor is not fully symmetric; this is the
-    internal-consistency tripwire for the residue recursion, whose output
-    symmetry is a theorem rather than a construction. The stored keys are
-    distinct orderings of their canonical key, so every ordering is present
-    exactly when a canonical key has n!/prod(m_i!) of them, m_i being the
-    multiplicities of its parts.
+    A multiset with d distinct parts is stored d times, once per distinct
+    live index, and each of those entries is read from a different bracket,
+    so their agreement is a theorem rather than a construction. This is the
+    internal-consistency tripwire of the residue recursion: it fails loudly
+    on a key of the wrong arity or with unsorted externals, on two live
+    slots that disagree, and on a multiset missing any of its live slots.
     """
     out: dict[tuple[int, ...], Fraction] = {}
     found: dict[tuple[int, ...], int] = {}
     for key, value in omega.coeffs.items():
         if len(key) != omega.n:
             raise ConsistencyError(f"key {key} has wrong arity for n={omega.n}")
+        if list(key[1:]) != sorted(key[1:], reverse=True):
+            raise ConsistencyError(f"key {key} has unsorted externals")
         canon = tuple(sorted(key, reverse=True))
         seen = out.get(canon)
         if seen is None:
@@ -261,12 +263,10 @@ def symmetric_table(omega: OmegaCoeffs) -> dict[tuple[int, ...], Fraction]:
         else:
             found[canon] += 1
     for canon, count in found.items():
-        orderings = factorial(omega.n)
-        for m in Counter(canon).values():
-            orderings //= factorial(m)
-        if count != orderings:
+        slots = len(set(canon))
+        if count != slots:
             raise ConsistencyError(
-                f"asymmetric tensor: {canon} has {count} of its {orderings} orderings"
+                f"asymmetric tensor: {canon} has {count} of its {slots} live slots"
             )
     return out
 

@@ -29,7 +29,6 @@ from .operators import (
 from .pseries import PSeries, free_energy, mono
 from .spectral import CorrelationEngine, bessel_curve, stable_pairs, symmetric_table
 from .wave import (
-    conjugated_residual,
     principal_specialize,
     quantum_curve_residual,
     sk_identity_check,
@@ -124,7 +123,6 @@ def quantum_curve_report(Z: PSeries) -> dict:
         ("closed-form", quantum_curve_residual(psi_closed)),
         ("specialised", quantum_curve_residual(psi_spec)),
         ("agreement", psi_spec - psi_closed),
-        ("conjugation", conjugated_residual(psi_closed) - quantum_curve_residual(psi_closed) * 2),
     )
     residuals = [
         {"route": route, "power": d, "coeff": str(c)}

@@ -9,15 +9,7 @@ The wave function psi = Z|_{p_i = z^(-i)} satisfies
     1/2 z^2 psi'' + z^2/hbar psi' + 1/8 psi = 0,
 
 which in coefficients reads (d(d+1)/2 + 1/8) a_d - (d+1) a_{d+1} = 0 and
-yields the closed form a_d = ((2d-1)!!)^2 / (8^d d!). Conjugating by
-exp(z/hbar) z^(-1/2) (never represented as a series) turns the equation
-into the modified Bessel form; acting on psi the conjugated operator
-reduces algebraically to
-
-    hbar^2 z^2 psi'' + 2 hbar z^2 psi' + hbar^2/4 psi,
-
-an overall hbar^2 times a series in w, equal to twice the first residual
-term for term.
+yields the closed form a_d = ((2d-1)!!)^2 / (8^d d!).
 """
 
 from __future__ import annotations
@@ -137,25 +129,6 @@ def quantum_curve_residual(psi: OneVarSeries) -> OneVarSeries:
         [
             (Fraction(d * (d + 1), 2) + Fraction(1, 8)) * psi.coefficient(d)
             - (d + 1) * psi.coefficient(d + 1)
-            for d in range(psi.order)
-        ]
-    )
-
-
-def conjugated_residual(psi: OneVarSeries) -> OneVarSeries:
-    """The modified-Bessel operator conjugated back onto psi.
-
-    Substituting exp(z/hbar) z^(-1/2) psi into
-    hbar^2 z^2 (.)'' + hbar^2 z (.)' - z^2 (.) reduces to
-    hbar^2 z^2 psi'' + 2 hbar z^2 psi' + hbar^2/4 psi, i.e. hbar^2 times a
-    w-series whose coefficients this returns: twice the plain residual.
-    """
-    if psi.order < 1:
-        raise ValueError("need at least two coefficients to form the residual")
-    return OneVarSeries(
-        [
-            (Fraction(d * (d + 1)) + Fraction(1, 4)) * psi.coefficient(d)
-            - 2 * (d + 1) * psi.coefficient(d + 1)
             for d in range(psi.order)
         ]
     )

@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given
+from hypothesis import strategies as st
+from test_pseries import PROPERTY
+
 from bessel_tr.correlators import CorrelatorTable, odd_partitions
 from bessel_tr.operators import (
     cut_and_join,
@@ -80,6 +84,31 @@ def test_commutator_random_sparse():
                 terms[m] = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
         a = PSeries(terms, 24)
         assert virasoro_commutator_holds(0, 3, a)
+
+
+@st.composite
+def low_degree_series(draw):
+    """Up to four terms of degree <= 8 in p1 .. p7 at order 24."""
+    terms = {}
+    for pairs in draw(
+        st.lists(
+            st.lists(
+                st.tuples(st.sampled_from((1, 3, 5, 7)), st.integers(1, 2)), min_size=1, max_size=2
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    ):
+        m = mono(pairs)
+        if mono_degree(m) <= 8:
+            terms[m] = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 5)))
+    return PSeries(terms, 24)
+
+
+@PROPERTY
+@given(low_degree_series(), st.sampled_from(((0, 3), (1, 2), (0, 1), (1, 3), (2, 3))))
+def test_commutator_random_sparse_property(a, pair):
+    assert virasoro_commutator_holds(*pair, a)
 
 
 def test_commutator_on_monomial_basis():

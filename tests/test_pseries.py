@@ -227,6 +227,16 @@ def test_exp_commutes_with_principal_specialisation(F):
     assert principal_specialize(F.exp()).log() == principal_specialize(F)
 
 
+@PROPERTY
+@given(sparse_series(), sparse_series(), st.sampled_from((1, 3, 5)))
+def test_leibniz_rule_property(a, b, i):
+    lhs = (a * b).partial(i)
+    rhs = a.partial(i) * b + a * b.partial(i)
+    # the truncated product only knows derivatives through degree order - i
+    reliable = min(a.order, b.order) - i
+    assert lhs.truncated(reliable) == rhs.truncated(reliable)
+
+
 def test_exp_matches_power_sum_on_free_energy():
     F = free_energy(CorrelatorTable(), 10)
     assert F.exp() == power_sum_exp(F)

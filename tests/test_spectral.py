@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 
 import pytest
@@ -91,16 +90,26 @@ def test_pole_order_law():
             assert max(mu) <= 6 * g - 5 + 2 * n, (g, n, mu)
 
 
+def _live_slots(mu, value):
+    """The storage form of one multiset: an entry per distinct live index."""
+    entries = {}
+    for v in set(mu):
+        rest = sorted(mu, reverse=True)
+        rest.remove(v)
+        entries[(v,) + tuple(rest)] = value
+    return entries
+
+
 def test_omega_tensors_are_symmetric():
-    for curve in (bessel_curve(), airy_curve()):
+    # every stored entry (b; E) has all its live-slot siblings, equal to it
+    for curve, chi_max in ((bessel_curve(), 8), (airy_curve(), 6)):
         engine = CorrelationEngine(curve)
-        for g, n in ((1, 2), (1, 3), (2, 2)):
-            if curve.label == "airy" and (g, n) == (2, 2):
-                continue  # larger regular case not needed here
+        for g, n in stable_pairs(chi_max):
             tensor = engine.omega(g, n)
             for key, value in tensor.coeffs.items():
-                for perm in permutations(key):
-                    assert tensor.coeffs.get(perm) == value, (g, n, key, perm)
+                assert list(key[1:]) == sorted(key[1:], reverse=True), (g, n, key)
+                for sibling, same in _live_slots(key, value).items():
+                    assert tensor.coeffs.get(sibling) == same, (curve.label, g, n, key, sibling)
 
 
 def test_symmetric_table_empty():
@@ -108,12 +117,26 @@ def test_symmetric_table_empty():
 
 
 def test_symmetric_table_rejects_asymmetry():
+    # two live slots of one multiset that disagree
     broken = OmegaCoeffs(1, 2, {(3, 1): Fraction(1, 8), (1, 3): Fraction(1, 4)})
     with pytest.raises(ConsistencyError):
         symmetric_table(broken)
     missing = OmegaCoeffs(1, 2, {(3, 1): Fraction(1, 8)})
     with pytest.raises(ConsistencyError):
         symmetric_table(missing)
+    whole = _live_slots((5, 3, 3, 1), Fraction(2, 9))
+    for key in whole:
+        bent = dict(whole)
+        bent[key] = Fraction(3, 9)
+        with pytest.raises(ConsistencyError, match="asymmetric"):
+            symmetric_table(OmegaCoeffs(2, 4, bent))
+
+
+def test_symmetric_table_rejects_unsorted_externals():
+    # (1; 1, 3) would stand in for the live slot 1 of (3, 1, 1) a second time
+    entries = {(3, 1, 1): Fraction(1), (1, 1, 3): Fraction(1)}
+    with pytest.raises(ConsistencyError, match="unsorted"):
+        symmetric_table(OmegaCoeffs(1, 3, entries))
 
 
 def test_omega_records_format():
@@ -148,7 +171,7 @@ def test_airy_genus_zero_closed_form():
     # <tau_{d_1} ... tau_{d_n}>_0 = (n - 3)! / prod d_i! on sum d_i = n - 3
     engine = CorrelationEngine(airy_curve())
     checked = 0
-    for n in range(3, 9):
+    for n in range(3, 11):
         expected = {}
         for nonzero in _partitions(n - 3, n):
             ds = nonzero + (0,) * (n - len(nonzero))
@@ -158,33 +181,42 @@ def test_airy_genus_zero_closed_form():
             expected[_airy_parts(ds)] = value
         assert symmetric_table(engine.omega(0, n)) == expected, n
         checked += len(expected)
-    assert checked == 19
+    assert checked == 45
 
 
 def test_airy_one_point_closed_form():
     # <tau_{3g-2}>_g = 1 / (24^g g!), so U(g; 6g - 3) = (6g - 5)!! / (24^g g!)
     engine = CorrelationEngine(airy_curve())
-    for g in range(1, 4):
+    for g in range(1, 5):
         expected = Fraction(double_factorial(6 * g - 5), 24**g * factorial(g))
         assert symmetric_table(engine.omega(g, 1)) == {(6 * g - 3,): expected}, g
 
 
 def test_symmetric_table_at_arity_twelve():
-    # 12! orderings of a single canonical key; the count check never lists them
+    # one live slot for twelve equal parts, three for three distinct parts;
+    # 12!/(3! 8!) orderings of the latter are never stored
     ones = (1,) * 12
     assert symmetric_table(OmegaCoeffs(1, 12, {ones: Fraction(5, 7)})) == {ones: Fraction(5, 7)}
+    mu = (5, 3, 3, 3) + (1,) * 8
+    whole = _live_slots(mu, Fraction(5, 7))
+    assert len(whole) == 3
+    assert symmetric_table(OmegaCoeffs(2, 12, whole)) == {mu: Fraction(5, 7)}
+    partial = {key: v for key, v in whole.items() if key[0] != 3}
+    with pytest.raises(ConsistencyError):
+        symmetric_table(OmegaCoeffs(2, 12, partial))
 
 
 def test_symmetric_table_rejects_one_missing_ordering():
+    # drop each live slot in turn, with two and with three distinct parts
     value = Fraction(3, 2)
-    orderings = sorted(set(permutations((3, 3, 1, 1, 1, 1))))
-    assert len(orderings) == 15
-    whole = {key: value for key in orderings}
-    assert symmetric_table(OmegaCoeffs(1, 6, whole)) == {(3, 3, 1, 1, 1, 1): value}
-    for dropped in (orderings[0], orderings[7], orderings[-1]):
-        partial = {key: v for key, v in whole.items() if key != dropped}
-        with pytest.raises(ConsistencyError):
-            symmetric_table(OmegaCoeffs(1, 6, partial))
+    for g, mu in ((1, (3, 3, 1, 1, 1, 1)), (2, (5, 3, 1, 1))):
+        whole = _live_slots(mu, value)
+        assert len(whole) == len(set(mu))
+        assert symmetric_table(OmegaCoeffs(g, len(mu), whole)) == {mu: value}
+        for dropped in whole:
+            partial = {key: v for key, v in whole.items() if key != dropped}
+            with pytest.raises(ConsistencyError, match="live slots"):
+                symmetric_table(OmegaCoeffs(g, len(mu), partial))
 
 
 def test_symmetric_table_rejects_wrong_arity():
@@ -192,3 +224,14 @@ def test_symmetric_table_rejects_wrong_arity():
         symmetric_table(OmegaCoeffs(1, 2, {(1, 1, 1): Fraction(1)}))
     with pytest.raises(ConsistencyError, match="arity"):
         symmetric_table(OmegaCoeffs(1, 2, {(1, 1): Fraction(1), (3,): Fraction(1)}))
+
+
+def test_airy_live_slots_agree_through_chi_eight():
+    engine = CorrelationEngine(airy_curve())
+    stored = 0
+    for g, n in stable_pairs(8):
+        tensor = engine.omega(g, n)
+        assert symmetric_table(tensor), (g, n)
+        stored += len(tensor.coeffs)
+    # one entry per live slot: 608 where ordered externals would take 27,325
+    assert stored == 608

@@ -4,13 +4,14 @@ import pytest
 
 from bessel_tr.correlators import CorrelatorTable
 from bessel_tr.operators import evolve, kdv_residuals
-from bessel_tr.pseries import free_energy
+from bessel_tr.pseries import PSeries, free_energy, mono_degree
 from bessel_tr.verify import (
     TARGETS,
     RunContext,
     empty_window,
     kdv_report,
     oracle_equivalence_report,
+    quantum_curve_report,
     run_target,
     string_dilaton_report,
 )
@@ -23,6 +24,23 @@ def test_free_energy_matches_cut_and_join_log():
 
 def test_oracle_equivalence_through_chi_twelve():
     assert oracle_equivalence_report(CorrelatorTable(), 12)["status"] == "pass"
+
+
+def test_oracle_equivalence_through_chi_sixteen():
+    assert oracle_equivalence_report(CorrelatorTable(), 16)["status"] == "pass"
+
+
+def test_quantum_curve_routes_each_see_a_corrupted_z():
+    # every route that reads Z must report a wrong coefficient of it;
+    # closed-form reads only the closed-form wave series
+    Z = RunContext().partition(8)
+    assert quantum_curve_report(Z)["status"] == "pass"
+    target = next(m for m, _ in Z.sorted_terms() if mono_degree(m) == 5)
+    terms = dict(Z.terms)
+    terms[target] *= Fraction(101, 100)
+    report = quantum_curve_report(PSeries(terms, 8))
+    assert report["status"] == "fail"
+    assert {r["route"] for r in report["residual_terms"]} == {"specialised", "agreement"}
 
 
 def test_string_dilaton_through_chi_fourteen():

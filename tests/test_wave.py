@@ -6,7 +6,6 @@ from bessel_tr.correlators import CorrelatorTable
 from bessel_tr.pseries import free_energy, partition_function
 from bessel_tr.wave import (
     OneVarSeries,
-    conjugated_residual,
     principal_specialize,
     quantum_curve_residual,
     sk_identity_check,
@@ -74,15 +73,6 @@ def test_quantum_curve_residual_constant_is_not_a_solution():
 def test_quantum_curve_residual_from_specialisation():
     psi = principal_specialize(partition_function(CorrelatorTable(), 8))
     assert quantum_curve_residual(psi).is_zero()
-
-
-def test_conjugated_residual():
-    psi = wave_series(12)
-    assert conjugated_residual(psi).is_zero()
-    assert conjugated_residual(OneVarSeries([1, 0])).coefficient(0) == Fraction(1, 4)
-    # the conjugation reduction is exactly twice the plain operator
-    bent = OneVarSeries([Fraction(1), Fraction(2, 3), Fraction(-1, 5), Fraction(4)])
-    assert conjugated_residual(bent) == quantum_curve_residual(bent) * 2
 
 
 def test_one_var_series_arithmetic():
