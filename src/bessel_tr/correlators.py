@@ -64,13 +64,10 @@ def support_keys(chi_max: int):
     Ordered by (2g - 2 + n, n, parts), which is the canonical dump order.
     """
     for chi in range(1, chi_max + 1):
-        for n in range(1, chi + 1):
-            if (chi - n) % 2:
-                continue
-            g = (chi - n) // 2 + 1
-            for parts in odd_partitions(chi):
-                if len(parts) == n:
-                    yield g, parts
+        # n odd parts sum to chi only if n = chi mod 2, so every n is on the
+        # support; a stable sort keeps odd_partitions' order within each n
+        for parts in sorted(odd_partitions(chi), key=len):
+            yield (chi - len(parts)) // 2 + 1, parts
 
 
 class CorrelatorTable:

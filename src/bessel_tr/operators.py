@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .pseries import PSeries, mono_degree
+from .pseries import PSeries, mono_degree, mono_json
 
 
 def _add_term(out: dict, key, coeff: Fraction) -> None:
@@ -114,9 +114,7 @@ def virasoro_annihilation_check(Z: PSeries, m_max: int) -> dict:
     residuals = []
     for m in range(m_max + 1):
         for mo, c in virasoro_residual_terms(Z, m):
-            residuals.append(
-                {"m": m, "mono": {str(i): e for i, e in sorted(mo)}, "coeff": str(c)}
-            )
+            residuals.append({"m": m, "mono": mono_json(mo), "coeff": str(c)})
     return {
         "check": "virasoro",
         "order": Z.order,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 
-from .correlators import CorrelatorTable, odd_partitions
+from .correlators import CorrelatorTable, support_keys
 
 Mono = tuple
 
@@ -55,6 +55,11 @@ def mono_str(m: Mono) -> str:
     if not m:
         return "1"
     return "*".join(f"p{i}" if e == 1 else f"p{i}^{e}" for i, e in m)
+
+
+def mono_json(m: Mono) -> dict:
+    """JSON form of a monomial: {"index": exponent} by ascending index."""
+    return {str(i): e for i, e in sorted(m)}
 
 
 def exp_slices(f: list, one, start, mul_add) -> list:
@@ -231,7 +236,7 @@ class PSeries:
         return {
             "order": self.order,
             "terms": [
-                {"mono": {str(i): e for i, e in sorted(m)}, "coeff": str(c)}
+                {"mono": mono_json(m), "coeff": str(c)}
                 for m, c in self.sorted_terms()
             ],
         }
@@ -257,22 +262,19 @@ def free_energy(table: CorrelatorTable, order: int) -> PSeries:
 
     The coefficient of prod p_i^{k_i} is the coefficient value divided by the
     product of the multiplicities' factorials: summing over ordered index
-    tuples with 1/n! collapses to that on sorted representatives. The genus
-    is forced by the grading, 2g - 2 + n = weighted degree.
+    tuples with 1/n! collapses to that on sorted representatives. The
+    weighted degree is 2g - 2 + n, so the support through `order` is exactly
+    the terms the truncation keeps.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     terms: dict[Mono, Fraction] = {}
-    for d in range(1, order + 1):
-        for parts in odd_partitions(d):
-            n = len(parts)
-            g = (d - n) // 2 + 1
-            u = table.value(g, parts)
-            if not u:
-                continue
-            key = mono((p, 1) for p in parts)
-            weight = prod(factorial(c) for _, c in key)
-            terms[key] = terms.get(key, Fraction(0)) + u / weight
+    for g, parts in support_keys(order):
+        u = table.value(g, parts)
+        if not u:
+            continue
+        key = mono((p, 1) for p in parts)
+        terms[key] = u / prod(factorial(c) for _, c in key)
     return PSeries(terms, order)
 
 

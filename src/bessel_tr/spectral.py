@@ -2,8 +2,9 @@
 
 Handles rational spectral curves of the shape x = z^2/2 with the single
 branch point z = 0 and local involution z -> -z; the function y is supplied
-as a Laurent germ. The two curves of interest are y = 1/z (Bessel, a simple
-pole of y at the branch point) and y = z (Airy, y analytic there).
+as a Laurent germ, an {exponent: coefficient} map. The two curves of
+interest are y = 1/z (Bessel, a simple pole of y at the branch point) and
+y = z (Airy, y analytic there).
 
 A correlation differential with 2g - 2 + n > 0 has poles only at the branch
 point, so it is a finite coefficient tensor of the expansion
@@ -29,59 +30,66 @@ evaluating a slot at -z contributes the sign (-1)^index), the kernel
 contributes the geometric expansion of -1/D(z) * 1/(z_1 - z) with
 D(z) = [y(z) - y(-z)] z, and reading the z^(-1) coefficient leaves a
 polynomial in 1/z_1 whose coefficients are the entries (b; E). Each of them
-is one dot product of the density with the truncated series of 1/D.
+is one dot product of the density with the truncated series of 1/D
+(`formal.reciprocal`). D is twice the odd part of y, times z, so the even
+part of y never enters.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 
-from .formal import ConsistencyError, LaurentPoly
+from .formal import ConsistencyError, reciprocal
 
 
 @dataclass(frozen=True)
 class SpectralCurve:
-    """x = z^2/2 together with a Laurent germ for y and a display label."""
+    """x = z^2/2 with a display label and y as a Laurent germ {exponent:
+    coefficient}, whose values become Fractions and whose zeros are dropped."""
 
-    y_germ: LaurentPoly
+    y_germ: dict[int, Fraction]
     label: str
 
-    def kernel_denominator(self) -> LaurentPoly:
-        """D(z) = [y(z) - y(-z)] * z, the dz-stripped kernel denominator."""
-        return (self.y_germ - self.y_germ.reflect()).shift(1)
+    def __post_init__(self):
+        germ = {int(k): Fraction(c) for k, c in self.y_germ.items() if c}
+        object.__setattr__(self, "y_germ", germ)
+
+    @cached_property
+    def kernel_denominator(self) -> dict[int, Fraction]:
+        """D(z) = [y(z) - y(-z)] * z, twice the odd part of y times z. Its
+        valuation, 0 (y has a simple pole) or 2 (y analytic, dy nonzero),
+        classifies the branch point; any other D raises ValueError."""
+        den = {k + 1: 2 * c for k, c in self.y_germ.items() if k % 2}
+        if not den:
+            raise ValueError(f"curve {self.label!r}: y(z) - y(-z) vanishes identically")
+        v = min(den)
+        if v not in (0, 2):
+            raise ValueError(
+                f"curve {self.label!r}: unsupported branch behaviour (valuation {v})"
+            )
+        return den
 
     def max_part(self, g: int, n: int) -> int:
         """A priori cap on the expansion indices of omega_{g,n}.
 
-        The valuation of D classifies the branch point: 0 means y has a
-        simple pole there and the pole order of omega_{g,n} is at most 2g;
-        2 means y is analytic with dy nonzero and the pole order is at most
-        6g - 4 + 2n. The expansion index is the pole order minus one.
+        At a simple pole of y (valuation 0 of D) the pole order of
+        omega_{g,n} is at most 2g; where y is analytic (valuation 2) it is at
+        most 6g - 4 + 2n. The expansion index is the pole order minus one.
         """
-        den = self.kernel_denominator()
-        if den.is_zero():
-            raise ValueError(f"curve {self.label!r}: y(z) - y(-z) vanishes identically")
-        v = den.valuation()
-        if v == 0:
-            bound = 2 * g - 1
-        elif v == 2:
-            bound = 6 * g - 5 + 2 * n
-        else:
-            raise ValueError(
-                f"curve {self.label!r}: unsupported branch behaviour (valuation {v})"
-            )
+        bound = 2 * g - 1 if 0 in self.kernel_denominator else 6 * g - 5 + 2 * n
         return max(bound, 1)
 
 
 def bessel_curve() -> SpectralCurve:
-    return SpectralCurve(LaurentPoly({-1: 1}), "bessel")
+    return SpectralCurve({-1: 1}, "bessel")
 
 
 def airy_curve() -> SpectralCurve:
-    return SpectralCurve(LaurentPoly({1: 1}), "airy")
+    return SpectralCurve({1: 1}, "airy")
 
 
 @dataclass(frozen=True)
@@ -108,10 +116,10 @@ class CorrelationEngine:
 
     def __init__(self, curve: SpectralCurve):
         self.curve = curve
-        self._den = curve.kernel_denominator()
-        if self._den.is_zero():
-            raise ValueError(f"curve {curve.label!r}: y(z) - y(-z) vanishes identically")
+        self._den = curve.kernel_denominator
         self._tensors: dict[tuple[int, int], OmegaCoeffs] = {}
+        # (g_i, k, barred, cap for omega_{0,2} else None) -> `_factor_terms`
+        self._factors: dict[tuple, dict] = {}
 
     def omega(self, g: int, n: int) -> OmegaCoeffs:
         if g < 0 or n < 1 or 2 * g - 2 + n <= 0:
@@ -181,8 +189,8 @@ class CorrelationEngine:
         nonempty = [d for d in bracket.values() if any(d.values())]
         if nonempty:
             e_min = min(min(d) for d in nonempty)
-            inv = self._den.inverse(max(-1 - e_min, -self._den.valuation()))
-            neg_inv = [(t, -d) for t, d in inv.coeffs.items()]
+            inv = reciprocal(self._den, max(-1 - e_min, -min(self._den)))
+            neg_inv = [(t, -d) for t, d in inv.items()]
             for key, density in bracket.items():
                 residues: dict[int, Fraction] = {}
                 for e, c in density.items():
@@ -206,19 +214,27 @@ class CorrelationEngine:
         I holds the factor's k external indices, sorted descending. The
         caller has already excluded omega_{0,1} factors. A barred factor is
         evaluated at -z, which multiplies the term attached to index nu by
-        (-1)^nu.
+        (-1)^nu. Each factor is built once per engine, omega_{0,2} once per
+        `cap` (its terms depend on it); callers must not mutate the result.
         """
-        if g_i == 0 and k == 1:
-            return {
-                (m,): {m - 1: Fraction(-1 if barred and m % 2 else 1)} for m in range(1, cap + 1)
-            }
-        out: dict[tuple[int, ...], dict[int, Fraction]] = {}
-        for idx, u in self.omega(g_i, k + 1).coeffs.items():
-            nu1 = idx[0]
-            coeff = u * nu1
-            if barred and nu1 % 2:
-                coeff = -coeff
-            out.setdefault(idx[1:], {})[-(nu1 + 1)] = coeff
+        omega02 = g_i == 0 and k == 1
+        key = (g_i, k, barred, cap if omega02 else None)
+        out = self._factors.get(key)
+        if out is None:
+            if omega02:
+                out = {
+                    (m,): {m - 1: Fraction(-1 if barred and m % 2 else 1)}
+                    for m in range(1, cap + 1)
+                }
+            else:
+                out = {}
+                for idx, u in self.omega(g_i, k + 1).coeffs.items():
+                    nu1 = idx[0]
+                    coeff = u * nu1
+                    if barred and nu1 % 2:
+                        coeff = -coeff
+                    out.setdefault(idx[1:], {})[-(nu1 + 1)] = coeff
+            self._factors[key] = out
         return out
 
 

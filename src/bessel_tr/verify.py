@@ -26,7 +26,7 @@ from .operators import (
     virasoro_annihilation_check,
     virasoro_commutator_holds,
 )
-from .pseries import PSeries, free_energy, mono
+from .pseries import PSeries, free_energy, mono, mono_json
 from .spectral import CorrelationEngine, bessel_curve, stable_pairs, symmetric_table
 from .wave import (
     principal_specialize,
@@ -68,10 +68,6 @@ def _report(check: str, order: int, reliable: int, residuals: list) -> dict:
     }
 
 
-def _mono_json(m) -> dict:
-    return {str(i): e for i, e in sorted(m)}
-
-
 def commutator_report(order: int, m_max: int) -> dict:
     """[L_m, L_n] = (m - n) L_{m+n} on every monomial of degree <= order,
     for 0 <= m < n <= m_max: m = n holds by construction and m > n is the
@@ -93,7 +89,7 @@ def commutator_report(order: int, m_max: int) -> dict:
             for series, applied in zip(basis, images):
                 if not virasoro_commutator_holds(m, n, series, applied):
                     term = next(iter(series.terms), ())
-                    residuals.append({"m": m, "n": n, "mono": _mono_json(term)})
+                    residuals.append({"m": m, "n": n, "mono": mono_json(term)})
     return _report("commutator", order, order, residuals)
 
 
@@ -101,7 +97,7 @@ def cutjoin_report(Z: PSeries) -> dict:
     """The cut-and-join flow against Z = exp F at the same order."""
     diff = evolve(Z.order) - Z
     residuals = [
-        {"mono": _mono_json(mo), "coeff": str(c)} for mo, c in diff.sorted_terms()
+        {"mono": mono_json(mo), "coeff": str(c)} for mo, c in diff.sorted_terms()
     ]
     return _report("cutjoin", Z.order, Z.order, residuals)
 
@@ -109,10 +105,10 @@ def cutjoin_report(Z: PSeries) -> dict:
 def kdv_report(F: PSeries) -> dict:
     flow, initial = kdv_residuals(F)
     residuals = [
-        {"part": "flow", "mono": _mono_json(mo), "coeff": str(c)} for mo, c in flow.sorted_terms()
+        {"part": "flow", "mono": mono_json(mo), "coeff": str(c)} for mo, c in flow.sorted_terms()
     ]
     for mo, c in initial.sorted_terms():
-        residuals.append({"part": "initial", "mono": _mono_json(mo), "coeff": str(c)})
+        residuals.append({"part": "initial", "mono": mono_json(mo), "coeff": str(c)})
     return _report("kdv", F.order, F.order - 5, residuals)
 
 

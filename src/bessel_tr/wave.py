@@ -43,34 +43,12 @@ class OneVarSeries:
     def coefficient(self, d: int) -> Fraction:
         return self.coeffs[d]
 
-    def truncated(self, order: int) -> "OneVarSeries":
-        return OneVarSeries(self.coeffs[: order + 1])
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def __add__(self, other: "OneVarSeries") -> "OneVarSeries":
-        n = min(self.order, other.order)
-        return OneVarSeries([self.coeffs[d] + other.coeffs[d] for d in range(n + 1)])
 
     def __sub__(self, other: "OneVarSeries") -> "OneVarSeries":
         n = min(self.order, other.order)
         return OneVarSeries([self.coeffs[d] - other.coeffs[d] for d in range(n + 1)])
-
-    def __mul__(self, other):
-        if isinstance(other, OneVarSeries):
-            n = min(self.order, other.order)
-            out = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(self.coeffs[: n + 1]):
-                if not a:
-                    continue
-                for j in range(n + 1 - i):
-                    out[i + j] += a * other.coeffs[j]
-            return OneVarSeries(out)
-        scalar = Fraction(other)
-        return OneVarSeries([c * scalar for c in self.coeffs])
-
-    __rmul__ = __mul__
 
     def exp(self) -> "OneVarSeries":
         """exp by the Euler recursion of `pseries.exp_slices`, one

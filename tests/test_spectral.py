@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from bessel_tr.correlators import CorrelatorTable, in_support, odd_partitions
-from bessel_tr.formal import ConsistencyError, LaurentPoly, double_factorial
+from bessel_tr.formal import ConsistencyError, double_factorial
 from bessel_tr.spectral import (
     CorrelationEngine,
     OmegaCoeffs,
@@ -18,13 +18,13 @@ from bessel_tr.spectral import (
 
 
 def test_kernel_rejects_even_y():
-    even = SpectralCurve(LaurentPoly({2: 1}), "even")
+    even = SpectralCurve({2: 1}, "even")
     with pytest.raises(ValueError):
         CorrelationEngine(even)
 
 
 def test_unsupported_branch_behaviour_rejected():
-    cubic = SpectralCurve(LaurentPoly({3: 1}), "cubic")
+    cubic = SpectralCurve({3: 1}, "cubic")
     with pytest.raises(ValueError):
         CorrelationEngine(cubic).omega(1, 1)
 
@@ -148,6 +148,33 @@ def test_max_part_classification():
     assert bessel_curve().max_part(3, 2) == 5
     assert airy_curve().max_part(1, 1) == 3
     assert bessel_curve().max_part(0, 3) == 1
+
+
+def test_germs_with_non_monomial_d_pass_symmetry():
+    # D = 2 + 2z^2 (pole) and D = 2z^2 + 2z^4 (analytic): 1/D has a tail
+    for germ, chi_max in (({-1: 1, 1: 1}, 10), ({1: 1, 3: 1}, 6)):
+        engine = CorrelationEngine(SpectralCurve(germ, "two-term"))
+        for g, n in stable_pairs(chi_max):
+            symmetric_table(engine.omega(g, n))
+
+
+def test_even_part_of_y_does_not_enter():
+    # D is twice the odd part of y times z, so 3 + 5z^2 changes nothing
+    plain = CorrelationEngine(bessel_curve())
+    shifted = CorrelationEngine(SpectralCurve({-1: 1, 0: 3, 2: 5}, "even-shifted"))
+    assert shifted.curve.kernel_denominator == {0: 2}
+    for g, n in stable_pairs(10):
+        assert shifted.omega(g, n).coeffs == plain.omega(g, n).coeffs, (g, n)
+
+
+def test_odd_part_of_y_changes_tensors():
+    # the tail of 1/D must reach the tensors; symmetry alone would not see
+    # a reciprocal that dropped it
+    plain = CorrelationEngine(bessel_curve())
+    deformed = CorrelationEngine(SpectralCurve({-1: 1, 1: 1}, "deformed"))
+    assert any(
+        deformed.omega(g, n).coeffs != plain.omega(g, n).coeffs for g, n in stable_pairs(6)
+    )
 
 
 def _airy_parts(ds):
