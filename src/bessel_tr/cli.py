@@ -6,7 +6,8 @@ engine dump), free-energy, partition, wave (series exports), and verify
 configuration yields byte-identical output, values are always lowest-terms
 "p/q" strings, and files are UTF-8. Usage errors, including negative
 numeric flags and a verify target whose check window would be empty, print
-a message on stderr and exit 2.
+a message on stderr and exit 2, and so does an `--out` path that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .spectral import (
     stable_pairs,
 )
 from .verify import TARGETS, RunContext, empty_window, run_target
-from .wave import principal_specialize
+from .wave import coefficients, principal_specialize
 
 
 def non_negative_int(text: str) -> int:
@@ -153,12 +154,13 @@ def _series_output(series, args) -> int:
 
 def _run_wave(args) -> int:
     psi = principal_specialize(partition_function(CorrelatorTable(), args.order))
+    coeffs = coefficients(psi)
     if args.format == "json":
-        lines = [json.dumps(psi.to_json_dict())]
+        lines = [json.dumps({"var": "hbar_over_z", "coeffs": [str(c) for c in coeffs]})]
     elif args.format == "csv":
-        lines = ["d,coeff"] + [f"{d},{c}" for d, c in enumerate(psi.coeffs)]
+        lines = ["d,coeff"] + [f"{d},{c}" for d, c in enumerate(coeffs)]
     else:
-        lines = [f"w^{d}: {c}" for d, c in enumerate(psi.coeffs)]
+        lines = [f"w^{d}: {c}" for d, c in enumerate(coeffs)]
     _emit_lines(lines, args.out)
     return 0
 
@@ -218,6 +220,11 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(json.dumps({"error": "internal inconsistency", "detail": str(exc)}))
         return 1
+    except OSError as exc:
+        if not args.out:
+            raise
+        print(f"cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     raise AssertionError("unreachable")
 
 

@@ -8,7 +8,10 @@ even-index variables are unrepresentable by construction.
 
 Monomials are tuples ((index, exponent), ...) sorted by descending index.
 The canonical term order is graded, then lexicographic by descending
-variable index.
+variable index. exp and log run one Euler recursion over degree slices.
+
+This is the one series type: the specialised wave function of `wave` is a
+series in p1 alone, standing for w = hbar/z.
 """
 
 from __future__ import annotations
@@ -62,55 +65,14 @@ def mono_json(m: Mono) -> dict:
     return {str(i): e for i, e in sorted(m)}
 
 
-def exp_slices(f: list, one, start, mul_add) -> list:
-    """Degree slices of exp F from those of F, which has F_0 = 0.
-
-    The Euler operator E = sum_i i p_i d/dp_i multiplies a slice of weighted
-    degree d by d and is a derivation, so E exp F = (E F) exp F reads
-
-        d Z_d = sum_{k=1}^{d} k F_k Z_{d-k},   Z_0 = 1,
-
-    one slice product per (d, k). Slices are whatever `mul_add` combines:
-    `start()` returns an empty accumulator and `start(s)` one equal to slice
-    s, `mul_add(acc, q, a, b)` returns acc + q a b for a rational q, and
-    `one` is the unit slice. Rationals (`Fraction`) and {mono: coeff} dicts
-    (`dict`) are the two kinds in use.
-    """
-    z = [one]
-    for d in range(1, len(f)):
-        acc = start()
-        for k in range(1, d + 1):
-            if f[k]:
-                acc = mul_add(acc, Fraction(k, d), f[k], z[d - k])
-        z.append(acc)
-    return z
-
-
-def log_slices(z: list, start, mul_add) -> list:
-    """Degree slices of log Z from those of Z, which has Z_0 = 1: the Euler
-    recursion of `exp_slices` solved for F_d,
-
-        F_d = Z_d - (1/d) sum_{k=1}^{d-1} k F_k Z_{d-k}.
-    """
-    f = [start()]
-    for d in range(1, len(z)):
-        acc = start(z[d])
-        for k in range(1, d):
-            if f[k]:
-                acc = mul_add(acc, Fraction(-k, d), f[k], z[d - k])
-        f.append(acc)
-    return f
-
-
-def _slice_mul_add(acc: dict, q: Fraction, a: dict, b: dict) -> dict:
-    """acc += q a b for slices held as {mono: coeff}; zero sums are dropped
-    when the slices become a series."""
+def _slice_mul_add(acc: dict, q: Fraction, a: dict, b: dict) -> None:
+    """acc += q a b for degree slices held as {mono: coeff}; zero sums are
+    dropped when the slices become a series."""
     for ma, ca in a.items():
         qa = q * ca
         for mb, cb in b.items():
             key = mono_mul(ma, mb)
             acc[key] = acc.get(key, 0) + qa * cb
-    return acc
 
 
 class PSeries:
@@ -215,19 +177,47 @@ class PSeries:
         return cls({m: c for s in slices for m, c in s.items()}, order)
 
     def exp(self) -> "PSeries":
-        """exp by the Euler recursion over degree slices (`exp_slices`);
-        requires zero constant term."""
+        """exp by the Euler recursion over degree slices; requires zero
+        constant term.
+
+        The Euler operator E = sum_i i p_i d/dp_i multiplies a slice of
+        weighted degree d by d and is a derivation, so E exp F = (E F) exp F
+        reads
+
+            d Z_d = sum_{k=1}^{d} k F_k Z_{d-k},   Z_0 = 1,
+
+        one slice product per (d, k).
+        """
         if self.constant_term():
             raise ValueError("exp needs a zero constant term")
-        z = exp_slices(self.slices(), {(): Fraction(1)}, dict, _slice_mul_add)
+        f = self.slices()
+        z = [{(): Fraction(1)}]
+        for d in range(1, len(f)):
+            acc: dict = {}
+            for k in range(1, d + 1):
+                if f[k]:
+                    _slice_mul_add(acc, Fraction(k, d), f[k], z[d - k])
+            z.append(acc)
         return PSeries.from_slices(z, self.order)
 
     def log(self) -> "PSeries":
-        """log by the Euler recursion over degree slices (`log_slices`);
-        requires constant term exactly 1."""
+        """log by the recursion of `exp` solved for F_d,
+
+            F_d = Z_d - (1/d) sum_{k=1}^{d-1} k F_k Z_{d-k};
+
+        requires constant term exactly 1.
+        """
         if self.constant_term() != 1:
             raise ValueError("log needs constant term 1")
-        return PSeries.from_slices(log_slices(self.slices(), dict, _slice_mul_add), self.order)
+        z = self.slices()
+        f: list[dict] = [{}]
+        for d in range(1, len(z)):
+            acc = dict(z[d])
+            for k in range(1, d):
+                if f[k]:
+                    _slice_mul_add(acc, Fraction(-k, d), f[k], z[d - k])
+            f.append(acc)
+        return PSeries.from_slices(f, self.order)
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: mono_sort_key(kv[0]))

@@ -26,7 +26,7 @@ from .operators import (
     virasoro_annihilation_check,
     virasoro_commutator_holds,
 )
-from .pseries import PSeries, free_energy, mono, mono_json
+from .pseries import PSeries, free_energy, mono, mono_degree, mono_json
 from .spectral import CorrelationEngine, bessel_curve, stable_pairs, symmetric_table
 from .wave import (
     principal_specialize,
@@ -121,10 +121,9 @@ def quantum_curve_report(Z: PSeries) -> dict:
         ("agreement", psi_spec - psi_closed),
     )
     residuals = [
-        {"route": route, "power": d, "coeff": str(c)}
+        {"route": route, "power": mono_degree(m), "coeff": str(c)}
         for route, series in routes
-        for d, c in enumerate(series.coeffs)
-        if c
+        for m, c in series.sorted_terms()
     ]
     return _report("quantum-curve", Z.order, Z.order - 1, residuals)
 

@@ -154,7 +154,7 @@ def test_criterion_7_quantum_curve():
     ok = quantum_curve_residual(wave_series(20)).is_zero()
     psi = principal_specialize(partition_function(CorrelatorTable(), 8))
     ok = ok and quantum_curve_residual(psi).is_zero()
-    ok = ok and all(psi.coefficient(d) == wave_coeff(d) for d in range(9))
+    ok = ok and all(psi.coefficient([(1, d)]) == wave_coeff(d) for d in range(9))
     ok = ok and wave_coeff(4) == Fraction(3675, 32768)
     _criterion(7, ok, "quantum-curve residual vanishes through order 19 and 7; a_d matches, a_4 = 3675/32768")
 

@@ -211,6 +211,17 @@ def test_empty_dump_prints_no_records(capsys, argv, expected):
     assert out == expected
 
 
+def test_unwritable_out_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code = main(["wave", "--order", "3", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert str(target) in captured.err
+    assert not target.exists()
+
+
 def test_empty_dump_writes_an_empty_file(capsys, tmp_path):
     target = tmp_path / "empty.json"
     code, out = run_cli(capsys, "omega", "--chi-max", "0", "--out", str(target))

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bessel_tr.correlators import CorrelatorTable, in_support
@@ -225,6 +225,18 @@ def test_exp_turns_sums_into_products(a, b):
 def test_exp_commutes_with_principal_specialisation(F):
     assert principal_specialize(F.exp()) == principal_specialize(F).exp()
     assert principal_specialize(F.exp()).log() == principal_specialize(F)
+
+
+@PROPERTY
+@given(sparse_series(), sparse_series())
+# distinct terms of equal degree, which the derandomized draws rarely give
+@example(
+    PSeries({M((5, 1)): 1, M((1, 2), (3, 1)): 2, M((1, 1)): -1}, 12),
+    PSeries({M((5, 1)): 3, M((3, 1), (1, 1)): Fraction(1, 3), M((1, 4)): 1}, 9),
+)
+def test_principal_specialisation_is_a_ring_map(a, b):
+    assert principal_specialize(a * b) == principal_specialize(a) * principal_specialize(b)
+    assert principal_specialize(a + b) == principal_specialize(a) + principal_specialize(b)
 
 
 @PROPERTY

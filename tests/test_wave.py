@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_pseries import PROPERTY
 
 from bessel_tr.correlators import CorrelatorTable
-from bessel_tr.pseries import free_energy, partition_function
+from bessel_tr.pseries import PSeries, free_energy, mono, partition_function
 from bessel_tr.wave import (
-    OneVarSeries,
     principal_specialize,
     quantum_curve_residual,
     sk_identity_check,
@@ -14,9 +16,14 @@ from bessel_tr.wave import (
 )
 
 
+def W(*coeffs):
+    """The series sum_d coeffs[d] w^d in w = p1, of order len(coeffs) - 1."""
+    return PSeries({mono([(1, d)]): c for d, c in enumerate(coeffs)}, len(coeffs) - 1)
+
+
 def test_specialize_partition_function_order_three():
     psi = principal_specialize(partition_function(CorrelatorTable(), 3))
-    assert psi.coeffs == (
+    assert psi == W(
         Fraction(1),
         Fraction(1, 8),
         Fraction(9, 128),
@@ -25,14 +32,12 @@ def test_specialize_partition_function_order_three():
 
 
 def test_specialize_constant():
-    from bessel_tr.pseries import PSeries
-
-    assert principal_specialize(PSeries.one(3)).coeffs == (1, 0, 0, 0)
+    assert principal_specialize(PSeries.one(3)) == W(1, 0, 0, 0)
 
 
 def test_specialize_free_energy_order_two():
     spec = principal_specialize(free_energy(CorrelatorTable(), 2))
-    assert spec.coeffs == (0, Fraction(1, 8), Fraction(1, 16))
+    assert spec == W(0, Fraction(1, 8), Fraction(1, 16))
 
 
 def test_specialisation_is_a_ring_homomorphism():
@@ -66,8 +71,8 @@ def test_quantum_curve_residual_closed_form():
 
 
 def test_quantum_curve_residual_constant_is_not_a_solution():
-    res = quantum_curve_residual(OneVarSeries([1, 0]))
-    assert res.coefficient(0) == Fraction(1, 8)
+    res = quantum_curve_residual(W(1, 0))
+    assert res.coefficient(()) == Fraction(1, 8)
 
 
 def test_quantum_curve_residual_from_specialisation():
@@ -75,23 +80,32 @@ def test_quantum_curve_residual_from_specialisation():
     assert quantum_curve_residual(psi).is_zero()
 
 
-def test_one_var_series_arithmetic():
-    a = OneVarSeries([0, Fraction(1, 2), Fraction(1, 3)])
-    e = a.exp()
-    assert e.coefficient(0) == 1
-    assert e.log() == a
-    with pytest.raises(ValueError):
-        a.log()
-    with pytest.raises(ValueError):
-        e.exp()
+@st.composite
+def w_series(draw):
+    """A random series in w = p1 of order 1..12, zero coefficients included."""
+    order = draw(st.integers(1, 12))
+    coeffs = draw(
+        st.lists(
+            st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+            min_size=order + 1,
+            max_size=order + 1,
+        )
+    )
+    return W(*coeffs)
 
 
-def test_one_var_series_json():
-    psi = wave_series(3)
-    assert psi.to_json_dict() == {
-        "var": "hbar_over_z",
-        "coeffs": ["1", "1/8", "9/128", "75/1024"],
-    }
+@PROPERTY
+@given(w_series())
+def test_quantum_curve_residual_matches_recurrence(psi):
+    # the operator form against the coefficient recurrence, its reference
+    a = [psi.coefficient([(1, d)]) for d in range(psi.order + 1)]
+    expected = W(
+        *(
+            (Fraction(d * (d + 1), 2) + Fraction(1, 8)) * a[d] - (d + 1) * a[d + 1]
+            for d in range(psi.order)
+        )
+    )
+    assert quantum_curve_residual(psi) == expected
 
 
 def test_sk_identity():
@@ -105,5 +119,5 @@ def test_sk_identity_first_levels_by_hand():
     # w^1: -1/8 on both sides; w^0: nothing contributes
     t = CorrelatorTable()
     log_psi = principal_specialize(partition_function(t, 3)).log()
-    assert log_psi.coefficient(0) == 0
-    assert -log_psi.coefficient(1) == -t.value(1, (1,))
+    assert log_psi.coefficient(()) == 0
+    assert -log_psi.coefficient([(1, 1)]) == -t.value(1, (1,))
