@@ -1,7 +1,8 @@
 """Differential operators on the graded series and their residual checks.
 
-Three families are implemented as structured term-by-term rules on sparse
-monomials:
+The linear operators are data: normal-ordered tables {d^B: {p^A: c}},
+derivatives first, built once per size by `operator_table` from the
+formulas below and applied by `PSeries.apply`. Three families:
 
   * the half-Virasoro operators
 
@@ -30,7 +31,7 @@ monomials:
 In the graded representation the 1/hbar piece of L_m maps a degree-d term
 to degree d - (2m+1) at hbar-level d - 1, and the other three pieces map it
 to hbar-level d at degree d - 2m, so every output term sits at hbar-level
-(weighted degree + 2m) and the four pieces combine as plain series. Applied
+(weighted degree + 2m) and the four pieces combine in one table. Applied
 to a series complete through degree N, the result is reliable through
 hbar-level N - 1.
 """
@@ -38,26 +39,22 @@ hbar-level N - 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
-from .pseries import PSeries, mono_degree, mono_json
+from .pseries import PSeries, mono_degree, mono_json, operator_table
 
 
-def _add_term(out: dict, key, coeff: Fraction) -> None:
-    out[key] = out.get(key, Fraction(0)) + coeff
-
-
-def _shifted(md: dict, deltas: dict):
-    new = dict(md)
-    for v, d in deltas.items():
-        e = new.get(v, 0) + d
-        if e < 0:
-            return None
-        if e:
-            new[v] = e
-        else:
-            new.pop(v, None)
-    return tuple(sorted(new.items(), reverse=True))
+@cache
+def _virasoro_table(m: int, top: int) -> dict:
+    """L_m on series whose variables have index <= top."""
+    k = 2 * m
+    terms = [(-(m + Fraction(1, 2)), [], [(k + 1, 1)])]
+    terms += [(m + Fraction(i, 2), [(i, 1)], [(k + i, 1)]) for i in range(1, top - k + 1, 2)]
+    terms += [(Fraction(i * (k - i), 4), [], [(i, 1), (k - i, 1)]) for i in range(1, k, 2)]
+    if m == 0:
+        terms.append((Fraction(1, 16), [], []))
+    return operator_table(terms)
 
 
 def virasoro_apply(m: int, series: PSeries) -> PSeries:
@@ -65,45 +62,9 @@ def virasoro_apply(m: int, series: PSeries) -> PSeries:
     hbar-level (series.order - 1), i.e. output degree series.order - 1 - 2m."""
     if m < 0:
         raise ValueError("the operators are defined for m >= 0 only")
-    out: dict = {}
-    for mo, c in series.terms.items():
-        md = dict(mo)
-        # -(m + 1/2) d/dp_{2m+1}, the 1/hbar piece
-        e = md.get(2 * m + 1)
-        if e:
-            _add_term(out, _shifted(md, {2 * m + 1: -1}), c * e * Fraction(-(2 * m + 1), 2))
-        # sum over odd i of (m + i/2) p_i d/dp_{2m+i}; with i = v - 2m the
-        # coefficient collapses to v/2
-        for v, ev in md.items():
-            if v - 2 * m >= 1:
-                deltas = {v: -1}
-                deltas[v - 2 * m] = deltas.get(v - 2 * m, 0) + 1
-                _add_term(out, _shifted(md, deltas), c * ev * Fraction(v, 2))
-        # sum over ordered odd pairs i + j = 2m of ij/4 d^2/dp_i dp_j
-        for i in range(1, 2 * m, 2):
-            j = 2 * m - i
-            if i == j:
-                fac = md.get(i, 0) * (md.get(i, 0) - 1)
-                deltas = {i: -2}
-            else:
-                fac = md.get(i, 0) * md.get(j, 0)
-                deltas = {i: -1, j: -1}
-            if fac:
-                _add_term(out, _shifted(md, deltas), c * fac * Fraction(i * j, 4))
-        # central term
-        if m == 0:
-            _add_term(out, mo, c * Fraction(1, 16))
-    return PSeries(out, series.order)
-
-
-def virasoro_residual_terms(Z: PSeries, m: int) -> list[tuple]:
-    """Nonzero terms of L_m Z within the reliable window, as (mono, coeff)."""
-    res = virasoro_apply(m, Z)
-    return [
-        (mo, c)
-        for mo, c in res.sorted_terms()
-        if mono_degree(mo) + 2 * m <= Z.order - 1
-    ]
+    # sized by the largest index present (listed first), so small series share small tables
+    top = max((mo[0][0] for mo in series.terms if mo), default=0)
+    return series.apply(_virasoro_table(m, top))
 
 
 def virasoro_annihilation_check(Z: PSeries, m_max: int) -> dict:
@@ -113,8 +74,9 @@ def virasoro_annihilation_check(Z: PSeries, m_max: int) -> dict:
     """
     residuals = []
     for m in range(m_max + 1):
-        for mo, c in virasoro_residual_terms(Z, m):
-            residuals.append({"m": m, "mono": mono_json(mo), "coeff": str(c)})
+        for mo, c in virasoro_apply(m, Z).sorted_terms():
+            if mono_degree(mo) + 2 * m <= Z.order - 1:
+                residuals.append({"m": m, "mono": mono_json(mo), "coeff": str(c)})
     return {
         "check": "virasoro",
         "order": Z.order,
@@ -149,32 +111,24 @@ def virasoro_commutator_holds(m: int, n: int, series: PSeries, images: dict | No
     return (lhs - rhs).truncated(reliable).is_zero()
 
 
+@cache
+def _cut_and_join_table(top: int) -> dict:
+    """M on series of order top; the join piece p_{i+j+1} d^2/dp_i dp_j is
+    listed only where its images, of degree >= i + j + 1, can stay within top."""
+    odd = range(1, top + 1, 2)
+    terms = [(Fraction(1, 8), [(1, 1)], [])]
+    for i in odd:
+        for j in odd:
+            if i + j + 1 <= top:
+                terms.append((Fraction(i * j, 2), [(i + j + 1, 1)], [(i, 1), (j, 1)]))
+            if i + j - 1 <= top:
+                terms.append((i + j - 1, [(i, 1), (j, 1)], [(i + j - 1, 1)]))
+    return operator_table(terms)
+
+
 def cut_and_join(series: PSeries) -> PSeries:
     """Apply M; every term raises the weighted degree by exactly one."""
-    out: dict = {}
-    for mo, c in series.terms.items():
-        md = dict(mo)
-        _add_term(out, _shifted(md, {1: 1}), c * Fraction(1, 8))
-        # join piece: 1/2 sum ij p_{i+j+1} d^2/dp_i dp_j over ordered pairs
-        for i, ei in md.items():
-            for j, ej in md.items():
-                fac = ei * (ei - 1) if i == j else ei * ej
-                if not fac:
-                    continue
-                deltas = {i: -1}
-                deltas[j] = deltas.get(j, 0) - 1
-                deltas[i + j + 1] = deltas.get(i + j + 1, 0) + 1
-                _add_term(out, _shifted(md, deltas), c * fac * Fraction(i * j, 2))
-        # cut piece: sum (i+j-1) p_i p_j d/dp_{i+j-1}, i.e. for each variable
-        # k present, split it as i + j = k + 1 over ordered odd pairs
-        for k, ek in md.items():
-            for i in range(1, k + 1, 2):
-                j = k + 1 - i
-                deltas = {k: -1}
-                deltas[i] = deltas.get(i, 0) + 1
-                deltas[j] = deltas.get(j, 0) + 1
-                _add_term(out, _shifted(md, deltas), c * ek * k)
-    return PSeries(out, series.order)
+    return series.apply(_cut_and_join_table(series.order))
 
 
 def evolve(order: int) -> PSeries:

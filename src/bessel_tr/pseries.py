@@ -75,6 +75,41 @@ def _slice_mul_add(acc: dict, q: Fraction, a: dict, b: dict) -> None:
             acc[key] = acc.get(key, 0) + qa * cb
 
 
+def _lowered(m: Mono, x: int) -> Mono:
+    """m divided by the variable at position x."""
+    v, e = m[x]
+    return m[:x] + ((v, e - 1),) + m[x + 1 :] if e > 1 else m[:x] + m[x + 1 :]
+
+
+def _low_divisors(m: Mono):
+    """(B, k, m / B) for every divisor B of m of total exponent <= 2, where
+    d^B p^m = k p^(m / B): k is the product of falling factorials."""
+    yield (), 1, m
+    for x, (v, e) in enumerate(m):
+        once = _lowered(m, x)
+        yield ((v, 1),), e, once
+        if e > 1:
+            yield ((v, 2),), e * (e - 1), _lowered(once, x)
+        for y in range(x + 1, len(m)):
+            w, f = m[y]
+            yield ((v, 1), (w, 1)), e * f, _lowered(_lowered(m, y), x)
+
+
+def operator_table(terms) -> dict:
+    """The operator sum c p^A d^B over `terms` given as (c, A pairs, B pairs),
+    as the table {B: {A: c}} that `PSeries.apply` reads. Keys are normalised
+    by `mono`, so d_i d_j and d_j d_i meet on one B, i = j gives d_i^2, and
+    the coefficients of equal (A, B) add up."""
+    table: dict = {}
+    for c, a, b in terms:
+        b, a = mono(b), mono(a)
+        if sum(e for _, e in b) > 2:
+            raise ValueError(f"derivative order above 2: {mono_str(b)}")
+        row = table.setdefault(b, {})
+        row[a] = row.get(a, 0) + Fraction(c)
+    return table
+
+
 class PSeries:
     """Truncated element of Q[p1, p3, p5, ...], graded by weighted degree."""
 
@@ -97,9 +132,8 @@ class PSeries:
         return not self.terms
 
     def coefficient(self, m) -> Fraction:
-        if not isinstance(m, tuple) or (m and not isinstance(m[0], tuple)):
-            m = mono(m)
-        return self.terms.get(m, Fraction(0))
+        """Coefficient of the monomial given as (index, exponent) pairs."""
+        return self.terms.get(mono(m), Fraction(0))
 
     def constant_term(self) -> Fraction:
         return self.terms.get((), Fraction(0))
@@ -120,20 +154,24 @@ class PSeries:
 
     def partial(self, index: int) -> "PSeries":
         """Formal partial derivative by p_index; the truncation order is kept."""
-        if index < 1 or index % 2 == 0:
-            raise ValueError(f"variable index must be odd and positive, got {index}")
+        return self.apply(operator_table([(1, [], [(index, 1)])]))
+
+    def apply(self, table: dict) -> "PSeries":
+        """Apply the normal-ordered operator sum_B (sum_A c p^A) d^B, derivatives
+        first, given as the table {B: {A: c}} of `operator_table`.
+
+        Each term looks up only its divisors B of total exponent <= 2 (1, p_v,
+        p_v^2, p_v p_w), so its cost grows with the variables present, not
+        with the table size. The truncation order is kept."""
         out: dict[Mono, Fraction] = {}
         for m, c in self.terms.items():
-            md = dict(m)
-            e = md.get(index)
-            if not e:
-                continue
-            if e == 1:
-                md.pop(index)
-            else:
-                md[index] = e - 1
-            key = tuple(sorted(md.items(), reverse=True))
-            out[key] = out.get(key, Fraction(0)) + c * e
+            for b, fac, rest in _low_divisors(m):
+                row = table.get(b)
+                if row:
+                    cf = c * fac
+                    for a, q in row.items():
+                        key = mono_mul(rest, a) if a else rest
+                        out[key] = out.get(key, 0) + cf * q
         return PSeries(out, self.order)
 
     def __add__(self, other: "PSeries") -> "PSeries":

@@ -21,7 +21,7 @@ from math import factorial, prod
 
 from .correlators import CorrelatorTable, odd_partitions
 from .formal import double_factorial
-from .pseries import PSeries, mono, mono_degree
+from .pseries import PSeries, mono, mono_degree, operator_table
 
 
 def principal_specialize(series: PSeries) -> PSeries:
@@ -49,6 +49,16 @@ def wave_series(order: int) -> PSeries:
     return PSeries({mono([(1, d)]): wave_coeff(d) for d in range(order + 1)}, order)
 
 
+_QUANTUM_CURVE = operator_table(
+    [
+        (Fraction(1, 2), [(1, 2)], [(1, 2)]),
+        (1, [(1, 1)], [(1, 1)]),
+        (Fraction(1, 8), [], []),
+        (-1, [], [(1, 1)]),
+    ]
+)
+
+
 def quantum_curve_residual(psi: PSeries) -> PSeries:
     """1/2 w^2 psi'' + w psi' + psi/8 - psi' for a series psi in w = p1, that
     is (1/2 z^2 d^2/dz^2 + z^2/hbar d/dz + 1/8) psi. The lone psi' lowers
@@ -56,10 +66,7 @@ def quantum_curve_residual(psi: PSeries) -> PSeries:
     """
     if psi.order < 1:
         raise ValueError("need at least two coefficients to form the residual")
-    w = PSeries({mono([(1, 1)]): 1}, psi.order)
-    d1 = psi.partial(1)
-    residual = w * w * d1.partial(1) * Fraction(1, 2) + w * d1 + psi * Fraction(1, 8) - d1
-    return residual.truncated(psi.order - 1)
+    return psi.apply(_QUANTUM_CURVE).truncated(psi.order - 1)
 
 
 def sk_identity_check(table: CorrelatorTable, Z: PSeries) -> bool:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bessel_tr.correlators import CorrelatorTable, in_support
+from bessel_tr.correlators import CorrelatorTable, in_support, odd_partitions
 from bessel_tr.pseries import (
     PSeries,
     free_energy,
@@ -157,6 +157,13 @@ def test_json_round_trip():
     assert PSeries(terms, data["order"]) == F
 
 
+def test_coefficient_normalises_every_key():
+    assert PSeries.one(3).coefficient(((1, 0),)) == 1
+    s = PSeries({M((3, 1), (1, 1)): Fraction(2, 5)}, 4)
+    assert s.coefficient(((1, 1), (3, 1))) == Fraction(2, 5)
+    assert s.coefficient(((3, 1), (1, 1))) == Fraction(2, 5)
+
+
 def test_restrict():
     F = free_energy(CorrelatorTable(), 6)
     restricted = F.restrict((1, 3))
@@ -170,18 +177,18 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 @st.composite
 def sparse_series(draw, constant=0, max_order=12):
-    """A random sparse series of order <= max_order with the given constant term."""
+    """A random sparse series of order <= max_order with the given constant
+    term. The order is drawn first, then one to five monomials of degree
+    1 .. order, among them distinct ones of equal degree such as p3 and p1^3."""
     order = draw(st.integers(0, max_order))
     terms = {(): Fraction(constant)}
-    for pairs in draw(
-        st.lists(
-            st.lists(
-                st.tuples(st.sampled_from((1, 3, 5)), st.integers(1, 2)), min_size=1, max_size=2
-            ),
-            max_size=5,
-        )
-    ):
-        terms[mono(pairs)] = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
+    candidates = [
+        mono((p, 1) for p in parts) for d in range(1, order + 1) for parts in odd_partitions(d)
+    ]
+    if candidates:
+        monos = st.lists(st.sampled_from(candidates), min_size=1, max_size=5, unique=True)
+        for m in draw(monos):
+            terms[m] = Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 6)))
     return PSeries(terms, order)
 
 
