@@ -1,13 +1,17 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
+from bessel_tr import operators
 from bessel_tr.correlators import CorrelatorTable
 from bessel_tr.operators import evolve, kdv_residuals
 from bessel_tr.pseries import PSeries, free_energy, mono_degree
 from bessel_tr.verify import (
     TARGETS,
     RunContext,
+    commutator_report,
     empty_window,
     kdv_report,
     oracle_equivalence_report,
@@ -80,3 +84,35 @@ def test_run_target_refuses_an_empty_window():
         run_target("commutator", order=6, chi_max=6, m_max=-1)
     with pytest.raises(ValueError, match="unknown"):
         run_target("nonsense", order=6, chi_max=6, m_max=4)
+
+
+def test_failing_reports_are_pinned(monkeypatch):
+    # every operator check must report a corrupted input, row for row: a
+    # wrong C(1; 1) = 1/4 under virasoro, kdv and cutjoin, and an L_2 whose
+    # d/dp5 coefficient is off by one under commutator; the bytes are pinned
+    context = RunContext()
+    context.table._entries[(1, (1,))] = Fraction(1, 4)
+    reports = [
+        run_target(name, order=9, chi_max=6, m_max=3, context=context)
+        for name in ("virasoro", "kdv", "cutjoin")
+    ]
+    original = operators._virasoro_table
+
+    def corrupted(m, top):
+        table = original(m, top)
+        if m != 2:
+            return table
+        row = dict(table.get(((5, 1),), {}))
+        row[()] = row.get((), 0) + 1
+        return {**table, ((5, 1),): row}
+
+    monkeypatch.setattr(operators, "_virasoro_table", corrupted)
+    reports.append(commutator_report(8, 3))
+    assert [(r["check"], r["status"], len(r["residual_terms"])) for r in reports] == [
+        ("virasoro", "fail", 25),
+        ("kdv", "fail", 8),
+        ("cutjoin", "fail", 32),
+        ("commutator", "fail", 7),
+    ]
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == "e24d26cb94d16822d8cff293748acd81d9a0a306b97f3f2361a4a57c38685e49"
