@@ -6,7 +6,9 @@ Each target builds a JSON-ready report
      "status": "pass" | "fail", "residual_terms": [...]}
 
 listing every offending term (empty on pass). A target whose reliable window
-would be empty is refused, never reported as a vacuous pass.
+would be empty is refused, never reported as a vacuous pass. The operators
+and the series they act on come from `operators`; every window and every
+pass/fail decision is made here.
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ from .correlators import (
     string_dilaton_holds,
     support_keys,
 )
-from .operators import (
-    evolve,
-    kdv_residuals,
-    virasoro_annihilation_check,
-    virasoro_commutator_holds,
-)
+from .operators import evolve, kdv_field, kdv_initial_series, virasoro_apply
 from .pseries import PSeries, free_energy, mono, mono_degree, mono_json
 from .spectral import CorrelationEngine, bessel_curve, stable_pairs, symmetric_table
 from .wave import (
@@ -68,47 +65,61 @@ def _report(check: str, order: int, reliable: int, residuals: list) -> dict:
     }
 
 
+def _terms(series: PSeries, **tags) -> list[dict]:
+    """Report rows of a residual series, in `sorted_terms` order."""
+    return [{**tags, "mono": mono_json(mo), "coeff": str(c)} for mo, c in series.sorted_terms()]
+
+
+def virasoro_report(Z: PSeries, m_max: int) -> dict:
+    """L_m Z = 0 for 0 <= m <= m_max. Every term of L_m Z sits at hbar-level
+    (degree + 2m), and Z complete through degree N makes L_m Z complete
+    through hbar-level N - 1, so each image is checked through degree
+    N - 1 - 2m."""
+    residuals = []
+    for m in range(m_max + 1):
+        residuals += _terms(virasoro_apply(m, Z).truncated(Z.order - 1 - 2 * m), m=m)
+    return _report("virasoro", Z.order, Z.order - 1, residuals)
+
+
 def commutator_report(order: int, m_max: int) -> dict:
     """[L_m, L_n] = (m - n) L_{m+n} on every monomial of degree <= order,
     for 0 <= m < n <= m_max: m = n holds by construction and m > n is the
     same identity negated.
 
-    Working truncation is padded so the comparison is complete for exact
-    monomial inputs. Each L_k of a basis monomial is computed once and
-    shared by every (m, n) pair that needs it.
+    No L_k raises degree, so on a monomial x taken as the exact series of
+    order deg x both sides are exact and are compared in full. Each L_k of
+    a basis monomial is computed once and shared by every (m, n) pair that
+    needs it.
     """
-    pad = 4 * m_max + 2
-    basis = [PSeries.one(pad)]
-    for d in range(1, order + 1):
-        for parts in odd_partitions(d):
-            basis.append(PSeries({mono((p, 1) for p in parts): Fraction(1)}, d + pad))
-    images = [{} for _ in basis]
+    basis = [mono((p, 1) for p in parts) for d in range(order + 1) for parts in odd_partitions(d)]
+    images = [
+        [virasoro_apply(k, PSeries({x: 1}, mono_degree(x))) for k in range(2 * m_max)]
+        for x in basis
+    ]
     residuals = []
     for m in range(m_max + 1):
         for n in range(m + 1, m_max + 1):
-            for series, applied in zip(basis, images):
-                if not virasoro_commutator_holds(m, n, series, applied):
-                    term = next(iter(series.terms), ())
-                    residuals.append({"m": m, "n": n, "mono": mono_json(term)})
+            for x, image in zip(basis, images):
+                lhs = virasoro_apply(m, image[n]) - virasoro_apply(n, image[m])
+                if not (lhs - image[m + n] * (m - n)).is_zero():
+                    residuals.append({"m": m, "n": n, "mono": mono_json(x)})
     return _report("commutator", order, order, residuals)
 
 
 def cutjoin_report(Z: PSeries) -> dict:
     """The cut-and-join flow against Z = exp F at the same order."""
-    diff = evolve(Z.order) - Z
-    residuals = [
-        {"mono": mono_json(mo), "coeff": str(c)} for mo, c in diff.sorted_terms()
-    ]
-    return _report("cutjoin", Z.order, Z.order, residuals)
+    return _report("cutjoin", Z.order, Z.order, _terms(evolve(Z.order) - Z))
 
 
 def kdv_report(F: PSeries) -> dict:
-    flow, initial = kdv_residuals(F)
-    residuals = [
-        {"part": "flow", "mono": mono_json(mo), "coeff": str(c)} for mo, c in flow.sorted_terms()
-    ]
-    for mo, c in initial.sorted_terms():
-        residuals.append({"part": "initial", "mono": mono_json(mo), "coeff": str(c)})
+    """u_t - u u_x - 1/12 u_xxx = 0 for u = kdv_field(F), checked through
+    degree F.order - 5 (u is complete through F.order - 2, and u_t and
+    u_xxx each cost three more), and u(x, 0) against 1/(8 (1 - x)^2) through F.order - 2."""
+    u = kdv_field(F)
+    u_x = u.partial(1)
+    flow = u.partial(3) - u * u_x - u_x.partial(1).partial(1) * Fraction(1, 12)
+    initial = u.restrict((1,)).truncated(F.order - 2) - kdv_initial_series(F.order - 2)
+    residuals = _terms(flow.truncated(F.order - 5), part="flow") + _terms(initial, part="initial")
     return _report("kdv", F.order, F.order - 5, residuals)
 
 
@@ -174,7 +185,7 @@ def sk_identity_report(table: CorrelatorTable, Z: PSeries) -> dict:
 _TARGETS = {
     "virasoro": (
         {"order": 1, "m_max": 0},
-        lambda ctx, o, c, m: virasoro_annihilation_check(ctx.partition(o), m),
+        lambda ctx, o, c, m: virasoro_report(ctx.partition(o), m),
     ),
     "commutator": ({"order": 0, "m_max": 1}, lambda ctx, o, c, m: commutator_report(o, m)),
     "cutjoin": ({"order": 0}, lambda ctx, o, c, m: cutjoin_report(ctx.partition(o))),
