@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -237,3 +238,52 @@ def test_omega_dump_matches_its_records(capsys):
     assert [json.loads(line) for line in out.splitlines()] == records
     _, out = run_cli(capsys, "omega", "--curve", "airy", "--chi-max", "3", "--format", "text")
     assert out.splitlines()[:2] == ["g=0 n=3 mu=[1,1,1] 1", "g=1 n=1 mu=[3] 1/24"]
+
+
+_PINNED_DUMPS = {
+    ("u-table", "--chi-max", "4"): {
+        "json": "073ce81be65f0008aeb58d1255d90dcacacab9825133f52c4eb74ffe9d6ce1db",
+        "csv": "ca7174f5e3abafdd2ef464f4e27406f9b1e1490971e5eb10697166e7f0e5f5c7",
+        "text": "95f416b117e689612d620872dd1a9973b06cc0678ccaa7cb71e4e78edf60a6f1",
+    },
+    ("omega", "--curve", "airy", "--chi-max", "3"): {
+        "json": "30107abcb87b9f8247f4adc568f63b77f23645e9503eaa8b80075caea9eb5a4e",
+        "csv": "dbcc9657e4f2df637767d3b434aae6f9f61bbac57716075fb91be6df915843c8",
+        "text": "379ca71015d9e8918e57a904e270dbeb87f5be7110d4d9bcbf7f8f235456181a",
+    },
+    ("free-energy", "--order", "5"): {
+        "json": "ed2105242f12259b1d574b595689b56c5da487bbdd6e1500c43f7b86172b3fe6",
+        "csv": "c7c4d3c1a62c0b4ae5f8f73de7ed3192888b23e17735583c2e27cac1b63db94b",
+        "text": "f1119ecd4721cdb0025fc675671b79a9325aa803231dd9385eaf3679cd992556",
+    },
+    ("partition", "--order", "5"): {
+        "json": "c576ba94792e02fdcd1134f4876dcebe3643fa09bf80f44927cf5dcf6ccbe413",
+        "csv": "785245941eefd46c30d2d2d24dddb113d1c9c5bf93593dfdd998c7277d78e89a",
+        "text": "2ac6838b46b7f6c80792fbf2383e963ee4412b0a561e581cc8f2a3986c3ae04a",
+    },
+    ("wave", "--order", "5"): {
+        "json": "d58f9eb82835758a458f4bc62a540b3d1f7b4be403463b133a9746982e728205",
+        "csv": "4d90d7fafa8415e37e2616c3c4762774f523fdfe77b9796d1764b6ba672beada",
+        "text": "5bfc2c6e1204abe82d1ddc8ee522740f242808c29332b840ab9ea841df1355df",
+    },
+    ("verify", "--order", "6", "--chi-max", "4"): {
+        "json": "89f1e3afabf385dcbe9ccf466dbc9e069ce36396e278f8709f298b06de3b7805",
+        "csv": "568823d3ce1181af0e7a3ae14c3951b03cd3dc7f5653120bd7797b05820484ea",
+        "text": "e5ca3ed5fe6e978dac38af9ff040b209b9a4ef16a3024ab1002161df3b690632",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, digest",
+    [
+        (argv, fmt, digest)
+        for argv, digests in _PINNED_DUMPS.items()
+        for fmt, digest in digests.items()
+    ],
+)
+def test_dump_bytes_are_pinned(capsys, argv, fmt, digest):
+    # every subcommand in every format, byte for byte
+    code, out = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
