@@ -81,17 +81,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _dump(args, json_lines, csv_header, text_format, rows) -> None:
+    """Write `json_lines` as JSON, or `rows` as csv under `csv_header` or
+    through `text_format`, one newline-ended line each, to stdout or `--out`.
+    No records, no output but the csv header. Only one iterable is read."""
+    if args.format == "json":
+        lines = [json.dumps(r) for r in json_lines]
+    elif args.format == "csv":
+        lines = [csv_header] + [",".join(map(str, row)) for row in rows]
+    else:
+        lines = [text_format.format(*row) for row in rows]
+    text = "".join(line + "\n" for line in lines)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_lines(lines: list[str], out_path) -> None:
-    """One line per record, each ending in a newline; no records, no output."""
-    _emit("".join(line + "\n" for line in lines), out_path)
 
 
 def _mu_str(parts) -> str:
@@ -100,68 +105,35 @@ def _mu_str(parts) -> str:
 
 def _run_u_table(args) -> int:
     table = CorrelatorTable()
-    rows = []
-    for g, parts in support_keys(args.chi_max):
-        if args.g_max is not None and g > args.g_max:
-            continue
-        rows.append((g, parts, table.value(g, parts)))
-    if args.format == "json":
-        lines = [
-            json.dumps({"g": g, "mu": list(parts), "value": str(v)})
-            for g, parts, v in rows
-        ]
-    elif args.format == "csv":
-        lines = ["g,mu,value"] + [f"{g},{_mu_str(parts)},{v}" for g, parts, v in rows]
-    else:
-        lines = [f"g={g} mu={_mu_str(parts)} {v}" for g, parts, v in rows]
-    _emit_lines(lines, args.out)
+    keys = [k for k in support_keys(args.chi_max) if args.g_max is None or k[0] <= args.g_max]
+    records = [{"g": g, "mu": list(mu), "value": str(table.value(g, mu))} for g, mu in keys]
+    rows = ((r["g"], _mu_str(r["mu"]), r["value"]) for r in records)
+    _dump(args, records, "g,mu,value", "g={0} mu={1} {2}", rows)
     return 0
 
 
 def _run_omega(args) -> int:
-    curve = bessel_curve() if args.curve == "bessel" else airy_curve()
-    engine = CorrelationEngine(curve)
+    engine = CorrelationEngine(bessel_curve() if args.curve == "bessel" else airy_curve())
     records = [
         r for g, n in stable_pairs(args.chi_max) for r in omega_records(engine.omega(g, n))
     ]
-    if args.format == "json":
-        lines = [json.dumps(r) for r in records]
-    elif args.format == "csv":
-        lines = ["g,n,mu,value"] + [
-            f"{r['g']},{r['n']},{_mu_str(r['mu'])},{r['value']}" for r in records
-        ]
-    else:
-        lines = [f"g={r['g']} n={r['n']} mu={_mu_str(r['mu'])} {r['value']}" for r in records]
-    _emit_lines(lines, args.out)
+    rows = ((r["g"], r["n"], _mu_str(r["mu"]), r["value"]) for r in records)
+    _dump(args, records, "g,n,mu,value", "g={0} n={1} mu={2} {3}", rows)
     return 0
 
 
-def _series_output(series, args) -> int:
-    if args.format == "json":
-        lines = [json.dumps(series.to_json_dict())]
-    elif args.format == "csv":
-        lines = ["degree,mono,coeff"] + [
-            f"{mono_degree(m)},{mono_str(m)},{c}" for m, c in series.sorted_terms()
-        ]
-    else:
-        lines = [
-            f"deg {mono_degree(m)}: {c} * {mono_str(m)}"
-            for m, c in series.sorted_terms()
-        ]
-    _emit_lines(lines, args.out)
+def _run_series(args) -> int:
+    build = free_energy if args.command == "free-energy" else partition_function
+    series = build(CorrelatorTable(), args.order)
+    rows = ((mono_degree(m), mono_str(m), c) for m, c in series.sorted_terms())
+    _dump(args, [series.to_json_dict()], "degree,mono,coeff", "deg {0}: {2} * {1}", rows)
     return 0
 
 
 def _run_wave(args) -> int:
-    psi = principal_specialize(partition_function(CorrelatorTable(), args.order))
-    coeffs = coefficients(psi)
-    if args.format == "json":
-        lines = [json.dumps({"var": "hbar_over_z", "coeffs": [str(c) for c in coeffs]})]
-    elif args.format == "csv":
-        lines = ["d,coeff"] + [f"{d},{c}" for d, c in enumerate(coeffs)]
-    else:
-        lines = [f"w^{d}: {c}" for d, c in enumerate(coeffs)]
-    _emit_lines(lines, args.out)
+    coeffs = coefficients(principal_specialize(partition_function(CorrelatorTable(), args.order)))
+    record = {"var": "hbar_over_z", "coeffs": [str(c) for c in coeffs]}
+    _dump(args, [record], "d,coeff", "w^{0}: {1}", enumerate(coeffs))
     return 0
 
 
@@ -182,41 +154,29 @@ def _run_verify(args) -> int:
         return 2
     context = RunContext()
     reports = [run_target(t, **params, context=context) for t in targets]
-
-    if args.format == "json":
-        lines = [json.dumps(r) for r in reports]
-    elif args.format == "csv":
-        lines = ["check,order,reliable_order,status,residuals"] + [
-            f"{r['check']},{r['order']},{r['reliable_order']},{r['status']},{len(r['residual_terms'])}"
-            for r in reports
-        ]
-    else:
-        lines = [
-            f"{r['check']}: {r['status']} (order={r['order']}, reliable={r['reliable_order']},"
-            f" residuals={len(r['residual_terms'])})"
-            for r in reports
-        ]
-    _emit_lines(lines, args.out)
+    rows = (
+        (r["check"], r["order"], r["reliable_order"], r["status"], len(r["residual_terms"]))
+        for r in reports
+    )
+    text = "{0}: {3} (order={1}, reliable={2}, residuals={4})"
+    _dump(args, reports, "check,order,reliable_order,status,residuals", text, rows)
     return 0 if all(r["status"] == "pass" for r in reports) else 1
+
+
+_RUNNERS = {
+    "u-table": _run_u_table,
+    "omega": _run_omega,
+    "free-energy": _run_series,
+    "partition": _run_series,
+    "wave": _run_wave,
+    "verify": _run_verify,
+}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "u-table":
-            return _run_u_table(args)
-        if args.command == "omega":
-            return _run_omega(args)
-        if args.command == "free-energy":
-            series = free_energy(CorrelatorTable(), args.order)
-            return _series_output(series, args)
-        if args.command == "partition":
-            series = partition_function(CorrelatorTable(), args.order)
-            return _series_output(series, args)
-        if args.command == "wave":
-            return _run_wave(args)
-        if args.command == "verify":
-            return _run_verify(args)
+        return _RUNNERS[args.command](args)
     except ConsistencyError as exc:
         print(json.dumps({"error": "internal inconsistency", "detail": str(exc)}))
         return 1
@@ -225,7 +185,6 @@ def main(argv=None) -> int:
             raise
         print(f"cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

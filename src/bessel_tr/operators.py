@@ -2,7 +2,8 @@
 
 The linear operators are data: normal-ordered tables {d^B: {p^A: c}},
 derivatives first, built once per size by `operator_table` from the
-formulas below and applied by `PSeries.apply`. Three families:
+formulas below (M from the L_m tables) and applied by `PSeries.apply`.
+Three families:
 
   * the half-Virasoro operators
 
@@ -16,11 +17,12 @@ formulas below and applied by `PSeries.apply`. Three families:
 
   * the cut-and-join operator
 
-        M = 1/8 p_1 + 1/2 sum_{i,j odd} ij p_{i+j+1} d^2/dp_i dp_j
-            + sum_{i,j odd} (i+j-1) p_i p_j d/dp_{i+j-1},
+        M = 2 sum_{m >= 0} p_{2m+1} L^_m
 
-    which raises weighted degree by exactly one and generates the partition
-    function as the flow sum_k M^k 1 / k!;
+    (Alexandrov's cut-and-join for the BGW model, arXiv:1608.01627), where
+    L^_m is L_m without its 1/hbar piece. L^_m lowers weighted degree by
+    2m, so M raises it by exactly one; M generates the partition function
+    as the flow sum_k M^k 1 / k!;
 
   * the KdV field u = d^2 F / dx^2 in the weight-absorbed variables
     x = p1, t = p3 (absorbing hbar^k into p_k makes F hbar-free, since the
@@ -68,16 +70,16 @@ def virasoro_apply(m: int, series: PSeries) -> PSeries:
 
 @cache
 def _cut_and_join_table(top: int) -> dict:
-    """M on series of order top; the join piece p_{i+j+1} d^2/dp_i dp_j is
-    listed only where its images, of degree >= i + j + 1, can stay within top."""
-    odd = range(1, top + 1, 2)
-    terms = [(Fraction(1, 8), [(1, 1)], [])]
-    for i in odd:
-        for j in odd:
-            if i + j + 1 <= top:
-                terms.append((Fraction(i * j, 2), [(i + j + 1, 1)], [(i, 1), (j, 1)]))
-            if i + j - 1 <= top:
-                terms.append((i + j - 1, [(i, 1), (j, 1)], [(i + j - 1, 1)]))
+    """M on series of order top, read off the L_m tables. Every image of
+    p_{2m+1} L^_m has degree >= 2m + 1, so m runs while 2m + 1 <= top, and
+    m = 0 always, whose 1/16 gives M its p_1/8."""
+    terms = [
+        (2 * c, [*a, (2 * m + 1, 1)], b)
+        for m in range((max(top, 1) + 1) // 2)
+        for b, row in _virasoro_table(m, top).items()
+        for a, c in row.items()
+        if a or b != ((2 * m + 1, 1),)  # drop the 1/hbar piece d/dp_{2m+1}
+    ]
     return operator_table(terms)
 
 

@@ -50,6 +50,12 @@ def mono_degree(m: Mono) -> int:
     return sum(i * e for i, e in m)
 
 
+def multiplicity_weight(m: Mono) -> int:
+    """The product of the exponents' factorials: an index tuple sorted to m
+    has n! / multiplicity_weight(m) orderings, n its total exponent."""
+    return prod(factorial(e) for _, e in m)
+
+
 def mono_sort_key(m: Mono):
     return (mono_degree(m), tuple((-i, -e) for i, e in m))
 
@@ -302,7 +308,7 @@ def free_energy(table: CorrelatorTable, order: int) -> PSeries:
         if not u:
             continue
         key = mono((p, 1) for p in parts)
-        terms[key] = u / prod(factorial(c) for _, c in key)
+        terms[key] = u / multiplicity_weight(key)
     return PSeries(terms, order)
 
 

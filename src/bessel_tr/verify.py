@@ -6,7 +6,8 @@ Each target builds a JSON-ready report
      "status": "pass" | "fail", "residual_terms": [...]}
 
 listing every offending term (empty on pass). A target whose reliable window
-would be empty is refused, never reported as a vacuous pass. The operators
+would be empty is refused with a ValueError, by `run_target` and by each
+report called directly, never reported as a vacuous pass. The operators
 and the series they act on come from `operators`; every window and every
 pass/fail decision is made here.
 """
@@ -75,6 +76,7 @@ def virasoro_report(Z: PSeries, m_max: int) -> dict:
     (degree + 2m), and Z complete through degree N makes L_m Z complete
     through hbar-level N - 1, so each image is checked through degree
     N - 1 - 2m."""
+    _refuse_empty_window("virasoro", order=Z.order, m_max=m_max)
     residuals = []
     for m in range(m_max + 1):
         residuals += _terms(virasoro_apply(m, Z).truncated(Z.order - 1 - 2 * m), m=m)
@@ -91,6 +93,7 @@ def commutator_report(order: int, m_max: int) -> dict:
     a basis monomial is computed once and shared by every (m, n) pair that
     needs it.
     """
+    _refuse_empty_window("commutator", order=order, m_max=m_max)
     basis = [mono((p, 1) for p in parts) for d in range(order + 1) for parts in odd_partitions(d)]
     images = [
         [virasoro_apply(k, PSeries({x: 1}, mono_degree(x))) for k in range(2 * m_max)]
@@ -115,6 +118,7 @@ def kdv_report(F: PSeries) -> dict:
     """u_t - u u_x - 1/12 u_xxx = 0 for u = kdv_field(F), checked through
     degree F.order - 5 (u is complete through F.order - 2, and u_t and
     u_xxx each cost three more), and u(x, 0) against 1/(8 (1 - x)^2) through F.order - 2."""
+    _refuse_empty_window("kdv", order=F.order)
     u = kdv_field(F)
     u_x = u.partial(1)
     flow = u.partial(3) - u * u_x - u_x.partial(1).partial(1) * Fraction(1, 12)
@@ -140,6 +144,7 @@ def quantum_curve_report(Z: PSeries) -> dict:
 
 
 def string_dilaton_report(table: CorrelatorTable, chi_max: int) -> dict:
+    _refuse_empty_window("string-dilaton", chi_max=chi_max)
     residuals = []
     for g, parts in support_keys(chi_max):
         if not string_dilaton_holds(table, g, parts):
@@ -150,6 +155,7 @@ def string_dilaton_report(table: CorrelatorTable, chi_max: int) -> dict:
 def oracle_equivalence_report(table: CorrelatorTable, chi_max: int) -> dict:
     """Residue pipeline against the closed recursion on every index tuple
     with 2g - 2 + n <= chi_max, both directions."""
+    _refuse_empty_window("oracle-equivalence", chi_max=chi_max)
     engine = CorrelationEngine(bessel_curve())
     residuals = []
     expected = {(g, parts): table.value(g, parts) for g, parts in support_keys(chi_max)}
@@ -213,6 +219,14 @@ def empty_window(name: str, **params: int) -> str | None:
     return None
 
 
+def _refuse_empty_window(name: str, **params: int) -> None:
+    """Raise ValueError where target `name` would check nothing; `params`
+    needs only the parameters the target has a least value for."""
+    reason = empty_window(name, **params)
+    if reason:
+        raise ValueError(reason)
+
+
 def run_target(
     name: str, *, order: int, chi_max: int, m_max: int, context: RunContext | None = None
 ) -> dict:
@@ -220,7 +234,5 @@ def run_target(
     (a fresh one when None)."""
     if name not in _TARGETS:
         raise ValueError(f"unknown verify target {name!r}")
-    reason = empty_window(name, order=order, chi_max=chi_max, m_max=m_max)
-    if reason:
-        raise ValueError(reason)
+    _refuse_empty_window(name, order=order, chi_max=chi_max, m_max=m_max)
     return _TARGETS[name][1](context or RunContext(), order, chi_max, m_max)

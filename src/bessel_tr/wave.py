@@ -17,11 +17,11 @@ derivatives in w. In coefficients that is (d(d+1)/2 + 1/8) a_d - (d+1) a_{d+1}
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 
 from .correlators import CorrelatorTable, odd_partitions
 from .formal import double_factorial
-from .pseries import PSeries, mono, mono_degree, operator_table
+from .pseries import PSeries, mono, mono_degree, multiplicity_weight, operator_table
 
 
 def principal_specialize(series: PSeries) -> PSeries:
@@ -82,8 +82,8 @@ def sk_identity_check(table: CorrelatorTable, Z: PSeries) -> bool:
             u = table.value(g, parts)
             if not u:
                 continue
-            orderings = factorial(n) // prod(factorial(c) for _, c in mono((p, 1) for p in parts))
-            rhs += Fraction((-1) ** n, factorial(n)) * u * orderings
+            # the n! / multiplicity_weight orderings of parts, each weighted 1/n!
+            rhs += (-1) ** n * u / multiplicity_weight(mono((p, 1) for p in parts))
         if lhs != rhs:
             return False
     return True

@@ -18,6 +18,7 @@ from bessel_tr.verify import (
     quantum_curve_report,
     run_target,
     string_dilaton_report,
+    virasoro_report,
 )
 
 
@@ -82,6 +83,23 @@ def test_run_target_refuses_an_empty_window():
         run_target("commutator", order=6, chi_max=6, m_max=-1)
     with pytest.raises(ValueError, match="unknown"):
         run_target("nonsense", order=6, chi_max=6, m_max=4)
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        lambda: commutator_report(6, 0),
+        lambda: virasoro_report(PSeries.one(0), 3),
+        lambda: kdv_report(PSeries({}, 1)),
+        lambda: string_dilaton_report(CorrelatorTable(), 0),
+        lambda: oracle_equivalence_report(CorrelatorTable(), 0),
+    ],
+    ids=["commutator", "virasoro", "kdv", "string-dilaton", "oracle-equivalence"],
+)
+def test_reports_refuse_an_empty_window(report):
+    # called directly, not through run_target, a report must still refuse
+    with pytest.raises(ValueError, match="checks nothing"):
+        report()
 
 
 def test_failing_reports_are_pinned(monkeypatch):
