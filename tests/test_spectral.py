@@ -2,9 +2,12 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_pseries import PROPERTY
 
 from bessel_tr.correlators import CorrelatorTable, in_support, odd_partitions
-from bessel_tr.formal import ConsistencyError, double_factorial
+from bessel_tr.formal import ConsistencyError, double_factorial, reciprocal
 from bessel_tr.spectral import (
     CorrelationEngine,
     OmegaCoeffs,
@@ -262,3 +265,27 @@ def test_airy_live_slots_agree_through_chi_eight():
         stored += len(tensor.coeffs)
     # one entry per live slot: 608 where ordered externals would take 27,325
     assert stored == 608
+
+
+@PROPERTY
+@given(
+    st.dictionaries(
+        st.integers(-4, 6),
+        st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5)),
+        min_size=1,
+        max_size=5,
+    ).filter(lambda poly: any(poly.values())),
+    st.integers(-6, 10),
+)
+def test_reciprocal_times_polynomial_is_one(poly, cap):
+    # with v the valuation of poly, the product is complete through
+    # exponent cap + v, and there it must be 1 at z^0 and 0 elsewhere
+    inv = reciprocal(poly, cap)
+    v = min(k for k, c in poly.items() if c)
+    assert all(c and -v <= k <= cap for k, c in inv.items())
+    product: dict = {}
+    for ka, ca in poly.items():
+        for kb, cb in inv.items():
+            product[ka + kb] = product.get(ka + kb, 0) + ca * cb
+    for k in range(min(product, default=0), cap + v + 1):
+        assert product.get(k, 0) == (1 if k == 0 else 0), k

@@ -7,7 +7,7 @@ import pytest
 from bessel_tr import operators
 from bessel_tr.correlators import CorrelatorTable
 from bessel_tr.operators import evolve
-from bessel_tr.pseries import PSeries, free_energy, mono_degree
+from bessel_tr.pseries import PSeries, free_energy, mono_degree, partition_function
 from bessel_tr.verify import (
     TARGETS,
     RunContext,
@@ -17,6 +17,7 @@ from bessel_tr.verify import (
     oracle_equivalence_report,
     quantum_curve_report,
     run_target,
+    sk_identity_report,
     string_dilaton_report,
     virasoro_report,
 )
@@ -132,3 +133,29 @@ def test_failing_reports_are_pinned(monkeypatch):
     ]
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
     assert digest == "e24d26cb94d16822d8cff293748acd81d9a0a306b97f3f2361a4a57c38685e49"
+
+
+def test_failing_table_reports_are_pinned():
+    # the table checks must report a corrupted C(2; 3, 1), off by 1%, row for
+    # row, and quantum-curve a Z whose first degree-5 coefficient is off by 1%;
+    # the bytes are pinned
+    t = CorrelatorTable()
+    t._entries[(2, (3, 1))] = t.value(2, (3, 1)) * Fraction(101, 100)
+    Z = RunContext().partition(8)
+    target = next(m for m, _ in Z.sorted_terms() if mono_degree(m) == 5)
+    terms = dict(Z.terms)
+    terms[target] *= Fraction(101, 100)
+    reports = [
+        string_dilaton_report(t, 6),
+        oracle_equivalence_report(t, 6),
+        sk_identity_report(t, partition_function(CorrelatorTable(), 6)),
+        quantum_curve_report(PSeries(terms, 8)),
+    ]
+    assert [(r["check"], r["status"], len(r["residual_terms"])) for r in reports] == [
+        ("string-dilaton", "fail", 7),
+        ("oracle-equivalence", "fail", 6),
+        ("sk-identity", "fail", 1),
+        ("quantum-curve", "fail", 3),
+    ]
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == "94e03aecff7add366ccb51b469b4bc43d6be136392c0a2f6dba12afe5e8b586b"
