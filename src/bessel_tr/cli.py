@@ -17,9 +17,9 @@ import json
 import sys
 
 from .correlators import CorrelatorTable, support_keys
-from .formal import ConsistencyError
 from .pseries import free_energy, mono_degree, mono_str, partition_function
 from .spectral import (
+    ConsistencyError,
     CorrelationEngine,
     airy_curve,
     bessel_curve,

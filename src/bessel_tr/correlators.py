@@ -15,8 +15,7 @@ is weighted by the product of those binomials. The support law forces both
 genera, 2*g1 = a + sum(left) + 1 - |left| and g2 = g - g1, and each is at
 least 1 because every part is; no genus is summed over.
 
-Also houses the genus <= 4 closed-form families, the combined string/dilaton
-identity, and the support predicate.
+Also houses the genus <= 4 closed-form families and the support predicate.
 """
 
 from __future__ import annotations
@@ -170,9 +169,3 @@ def family_parts(shape, n: int) -> tuple[int, ...]:
     shape = canonical_parts(shape)
     return shape + (1,) * (n - len(shape))
 
-
-def string_dilaton_holds(table: CorrelatorTable, g: int, parts) -> bool:
-    """Appending a part equal to 1 multiplies the value by 2g - 2 + n."""
-    parts = tuple(parts)
-    n = len(parts)
-    return table.value(g, parts + (1,)) == (2 * g - 2 + n) * table.value(g, parts)

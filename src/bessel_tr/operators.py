@@ -60,12 +60,11 @@ def _virasoro_table(m: int, top: int) -> dict:
 
 
 def virasoro_apply(m: int, series: PSeries) -> PSeries:
-    """Apply L_m term by term; the truncation order is kept."""
+    """Apply L_m term by term, through the table sized by the order, which
+    bounds every index present; the truncation order is kept."""
     if m < 0:
         raise ValueError("the operators are defined for m >= 0 only")
-    # sized by the largest index present (listed first), so small series share small tables
-    top = max((mo[0][0] for mo in series.terms if mo), default=0)
-    return series.apply(_virasoro_table(m, top))
+    return series.apply(_virasoro_table(m, series.order))
 
 
 @cache

@@ -197,14 +197,11 @@ class PSeries:
             scalar = Fraction(other)
             return PSeries({m: c * scalar for m, c in self.terms.items()}, self.order)
         order = min(self.order, other.order)
+        a, b = self.slices(), other.slices()
         out: dict[Mono, Fraction] = {}
-        for ma, ca in self.terms.items():
-            da = mono_degree(ma)
-            for mb, cb in other.terms.items():
-                if da + mono_degree(mb) > order:
-                    continue
-                key = mono_mul(ma, mb)
-                out[key] = out.get(key, Fraction(0)) + ca * cb
+        for da in range(order + 1):
+            for db in range(order + 1 - da):
+                _slice_mul_add(out, 1, a[da], b[db])
         return PSeries(out, order)
 
     __rmul__ = __mul__

@@ -31,7 +31,7 @@ contributes the geometric expansion of -1/D(z) * 1/(z_1 - z) with
 D(z) = [y(z) - y(-z)] z, and reading the z^(-1) coefficient leaves a
 polynomial in 1/z_1 whose coefficients are the entries (b; E). Each of them
 is one dot product of the density with the truncated series of 1/D
-(`formal.reciprocal`). D is twice the odd part of y, times z, so the even
+(`reciprocal`). D is twice the odd part of y, times z, so the even
 part of y never enters.
 """
 
@@ -43,7 +43,34 @@ from functools import cached_property
 from fractions import Fraction
 from math import comb
 
-from .formal import ConsistencyError, reciprocal
+
+class ConsistencyError(RuntimeError):
+    """An internal invariant was violated (asymmetric tensor, failed
+    built-in cross-check). Never raised on valid input."""
+
+
+def reciprocal(coeffs: dict, max_exponent: int) -> dict:
+    """Truncated reciprocal of sum_k coeffs[k] z^k: the nonzero coefficients
+    of its inverse on all exponents <= max_exponent.
+
+    With the polynomial written c z^v plus higher terms, the inverse is
+    z^(-v) sum_k r_k z^k, where r_k = ([k = 0] - sum_{j > v} coeffs[j]
+    r_{k+v-j}) / c is the power-series inversion recurrence.
+    """
+    coeffs = {k: Fraction(c) for k, c in coeffs.items() if c}
+    if not coeffs:
+        raise ZeroDivisionError("the zero polynomial has no reciprocal")
+    v = min(coeffs)
+    lead = coeffs.pop(v)
+    r: list = []
+    for k in range(max_exponent + v + 1):
+        acc = int(k == 0)
+        for j, c in coeffs.items():
+            if j - v <= k:
+                acc -= c * r[k + v - j]
+        # a monomial D, as on both shipped curves, leaves every r_k > 0 zero
+        r.append(acc / lead if acc else 0)
+    return {k - v: c for k, c in enumerate(r) if c}
 
 
 @dataclass(frozen=True)

@@ -16,22 +16,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .correlators import (
-    CorrelatorTable,
-    in_support,
-    odd_partitions,
-    string_dilaton_holds,
-    support_keys,
-)
+from .correlators import CorrelatorTable, in_support, odd_partitions, support_keys
 from .operators import evolve, kdv_field, kdv_initial_series, virasoro_apply
-from .pseries import PSeries, free_energy, mono, mono_degree, mono_json
+from .pseries import PSeries, free_energy, mono, mono_degree, mono_json, multiplicity_weight
 from .spectral import CorrelationEngine, bessel_curve, stable_pairs, symmetric_table
-from .wave import (
-    principal_specialize,
-    quantum_curve_residual,
-    sk_identity_check,
-    wave_series,
-)
+from .wave import coefficients, principal_specialize, quantum_curve_residual, wave_series
 
 
 class RunContext:
@@ -128,12 +117,12 @@ def kdv_report(F: PSeries) -> dict:
 
 
 def quantum_curve_report(Z: PSeries) -> dict:
-    psi_closed = wave_series(Z.order)
-    psi_spec = principal_specialize(Z)
+    """The specialised Z against the quantum curve, and against the
+    closed-form wave series."""
+    psi = principal_specialize(Z)
     routes = (
-        ("closed-form", quantum_curve_residual(psi_closed)),
-        ("specialised", quantum_curve_residual(psi_spec)),
-        ("agreement", psi_spec - psi_closed),
+        ("specialised", quantum_curve_residual(psi)),
+        ("agreement", psi - wave_series(Z.order)),
     )
     residuals = [
         {"route": route, "power": mono_degree(m), "coeff": str(c)}
@@ -144,11 +133,14 @@ def quantum_curve_report(Z: PSeries) -> dict:
 
 
 def string_dilaton_report(table: CorrelatorTable, chi_max: int) -> dict:
+    """Appending a part equal to 1 multiplies the value by 2g - 2 + n, on
+    every index tuple with 2g - 2 + n <= chi_max."""
     _refuse_empty_window("string-dilaton", chi_max=chi_max)
-    residuals = []
-    for g, parts in support_keys(chi_max):
-        if not string_dilaton_holds(table, g, parts):
-            residuals.append({"g": g, "mu": list(parts)})
+    residuals = [
+        {"g": g, "mu": list(parts)}
+        for g, parts in support_keys(chi_max)
+        if table.value(g, parts + (1,)) != (2 * g - 2 + len(parts)) * table.value(g, parts)
+    ]
     return _report("string-dilaton", chi_max, chi_max, residuals)
 
 
@@ -177,8 +169,22 @@ def oracle_equivalence_report(table: CorrelatorTable, chi_max: int) -> dict:
 
 
 def sk_identity_report(table: CorrelatorTable, Z: PSeries) -> dict:
-    ok = sk_identity_check(table, Z)
-    residuals = [] if ok else [{"identity": "sk-log"}]
+    """log of the specialised Z against the table, one hbar-power d at a
+    time through Z.order: the sum over odd partitions of d of C(g; parts) /
+    prod mult!. Reading the table, not F, keeps this route independent of
+    `free_energy`."""
+    # no sign: hbar -> -hbar gives w^d the sign (-1)^d and each correlator
+    # (-1)^n, and n odd parts sum to d only when n = d mod 2
+    residuals = []
+    for d, a in enumerate(coefficients(principal_specialize(Z).log())):
+        rhs = sum(
+            table.value((d - len(parts)) // 2 + 1, parts)
+            / multiplicity_weight(mono((p, 1) for p in parts))
+            for parts in odd_partitions(d)
+        )
+        if a != rhs:
+            residuals = [{"identity": "sk-log"}]
+            break
     report = _report("sk-identity", Z.order, Z.order, residuals)
     # the two leading WKB terms are constants outside the series ring
     report["prefactor"] = {"S0": "-z", "S1": "-(1/2)*log(z)"}

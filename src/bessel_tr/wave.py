@@ -19,9 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .correlators import CorrelatorTable, odd_partitions
-from .formal import double_factorial
-from .pseries import PSeries, mono, mono_degree, multiplicity_weight, operator_table
+from .pseries import PSeries, mono, mono_degree, operator_table
 
 
 def principal_specialize(series: PSeries) -> PSeries:
@@ -36,6 +34,17 @@ def principal_specialize(series: PSeries) -> PSeries:
 def coefficients(psi: PSeries) -> list[Fraction]:
     """a_0, ..., a_order of a series sum_d a_d w^d in w = p1."""
     return [psi.coefficient([(1, d)]) for d in range(psi.order + 1)]
+
+
+def double_factorial(n: int) -> int:
+    """n(n-2)(n-4)... down to 1 or 2, with (-1)!! = 0!! = 1."""
+    if n < -1:
+        raise ValueError(f"double factorial undefined for {n}")
+    result = 1
+    while n > 1:
+        result *= n
+        n -= 2
+    return result
 
 
 def wave_coeff(d: int) -> Fraction:
@@ -68,22 +77,3 @@ def quantum_curve_residual(psi: PSeries) -> PSeries:
         raise ValueError("need at least two coefficients to form the residual")
     return psi.apply(_QUANTUM_CURVE).truncated(psi.order - 1)
 
-
-def sk_identity_check(table: CorrelatorTable, Z: PSeries) -> bool:
-    """log of the specialised partition function Z under hbar -> -hbar
-    against the (-1)^n-weighted correlator sums of `table`, one hbar-power
-    at a time through Z.order."""
-    for d, a in enumerate(coefficients(principal_specialize(Z).log())):
-        lhs = a * (-1) ** d
-        rhs = Fraction(0)
-        for parts in odd_partitions(d):
-            n = len(parts)
-            g = (d - n) // 2 + 1
-            u = table.value(g, parts)
-            if not u:
-                continue
-            # the n! / multiplicity_weight orderings of parts, each weighted 1/n!
-            rhs += (-1) ** n * u / multiplicity_weight(mono((p, 1) for p in parts))
-        if lhs != rhs:
-            return False
-    return True

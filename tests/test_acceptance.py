@@ -12,13 +12,11 @@ from bessel_tr.correlators import (
     family_parts,
     in_support,
     odd_partitions,
-    string_dilaton_holds,
-    support_keys,
 )
 from bessel_tr.operators import evolve, kdv_field
 from bessel_tr.pseries import free_energy, mono, partition_function
 from bessel_tr.spectral import CorrelationEngine, bessel_curve, stable_pairs, symmetric_table
-from bessel_tr.verify import commutator_report, virasoro_report
+from bessel_tr.verify import commutator_report, string_dilaton_report, virasoro_report
 from bessel_tr.wave import principal_specialize, quantum_curve_residual, wave_coeff, wave_series
 
 
@@ -149,7 +147,7 @@ def test_criterion_7_quantum_curve():
 
 def test_criterion_8_string_dilaton():
     t = CorrelatorTable()
-    ok = all(string_dilaton_holds(t, g, parts) for g, parts in support_keys(8))
+    ok = string_dilaton_report(t, 8)["status"] == "pass"
     _criterion(8, ok, "string/dilaton identity holds for all indices with 2g-2+n <= 8")
 
 

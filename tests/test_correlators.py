@@ -9,9 +9,13 @@ from bessel_tr.correlators import (
     family_parts,
     in_support,
     odd_partitions,
-    string_dilaton_holds,
     support_keys,
 )
+
+
+def string_dilaton_holds(t, g, parts):
+    """Appending a part equal to 1 multiplies the value by 2g - 2 + n."""
+    return t.value(g, parts + (1,)) == (2 * g - 2 + len(parts)) * t.value(g, parts)
 
 
 def test_base_and_low_values():

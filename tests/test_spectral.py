@@ -7,17 +7,19 @@ from hypothesis import strategies as st
 from test_pseries import PROPERTY
 
 from bessel_tr.correlators import CorrelatorTable, in_support, odd_partitions
-from bessel_tr.formal import ConsistencyError, double_factorial, reciprocal
 from bessel_tr.spectral import (
+    ConsistencyError,
     CorrelationEngine,
     OmegaCoeffs,
     SpectralCurve,
     airy_curve,
     bessel_curve,
     omega_records,
+    reciprocal,
     stable_pairs,
     symmetric_table,
 )
+from bessel_tr.wave import double_factorial
 
 
 def test_kernel_rejects_even_y():
@@ -289,3 +291,23 @@ def test_reciprocal_times_polynomial_is_one(poly, cap):
             product[ka + kb] = product.get(ka + kb, 0) + ca * cb
     for k in range(min(product, default=0), cap + v + 1):
         assert product.get(k, 0) == (1 if k == 0 else 0), k
+
+
+def test_inverse_truncated():
+    a = {0: 2, 1: 1, 3: -4}
+    inv = reciprocal(a, 6)
+    product: dict = {}
+    for ka, va in a.items():
+        for kb, vb in inv.items():
+            product[ka + kb] = product.get(ka + kb, 0) + va * vb
+    for k in range(-2, 7):
+        assert product.get(k, 0) == (1 if k == 0 else 0)
+    assert reciprocal({2: 2}, 0) == {-2: Fraction(1, 2)}
+
+
+def test_inverse_of_zero_rejected():
+    cancelled = {-1: Fraction(5) - 5}
+    with pytest.raises(ZeroDivisionError):
+        reciprocal(cancelled, 3)
+    with pytest.raises(ZeroDivisionError):
+        reciprocal({}, 3)

@@ -37,8 +37,7 @@ def test_oracle_equivalence_through_chi_sixteen():
 
 
 def test_quantum_curve_routes_each_see_a_corrupted_z():
-    # every route that reads Z must report a wrong coefficient of it;
-    # closed-form reads only the closed-form wave series
+    # both routes read Z, and each must report a wrong coefficient of it
     Z = RunContext().partition(8)
     assert quantum_curve_report(Z)["status"] == "pass"
     target = next(m for m, _ in Z.sorted_terms() if mono_degree(m) == 5)

@@ -7,10 +7,11 @@ from test_pseries import PROPERTY
 
 from bessel_tr.correlators import CorrelatorTable
 from bessel_tr.pseries import PSeries, free_energy, mono, partition_function
+from bessel_tr.verify import sk_identity_report
 from bessel_tr.wave import (
+    double_factorial,
     principal_specialize,
     quantum_curve_residual,
-    sk_identity_check,
     wave_coeff,
     wave_series,
 )
@@ -110,9 +111,9 @@ def test_quantum_curve_residual_matches_recurrence(psi):
 
 def test_sk_identity():
     t = CorrelatorTable()
-    assert sk_identity_check(t, partition_function(t, 3))
-    assert sk_identity_check(t, partition_function(t, 6))
-    assert sk_identity_check(t, partition_function(t, 8))
+    assert sk_identity_report(t, partition_function(t, 3))["status"] == "pass"
+    assert sk_identity_report(t, partition_function(t, 6))["status"] == "pass"
+    assert sk_identity_report(t, partition_function(t, 8))["status"] == "pass"
 
 
 def test_sk_identity_first_levels_by_hand():
@@ -121,3 +122,16 @@ def test_sk_identity_first_levels_by_hand():
     log_psi = principal_specialize(partition_function(t, 3)).log()
     assert log_psi.coefficient(()) == 0
     assert -log_psi.coefficient([(1, 1)]) == -t.value(1, (1,))
+
+
+def test_double_factorial_values():
+    assert double_factorial(-1) == 1
+    assert double_factorial(0) == 1
+    assert double_factorial(7) == 105
+    assert double_factorial(1) == 1
+    assert double_factorial(8) == 384
+
+
+def test_double_factorial_rejects_below_minus_one():
+    with pytest.raises(ValueError):
+        double_factorial(-2)
