@@ -68,7 +68,8 @@ def reciprocal(coeffs: dict, max_exponent: int) -> dict:
         for j, c in coeffs.items():
             if j - v <= k:
                 acc -= c * r[k + v - j]
-        # a monomial D, as on both shipped curves, leaves every r_k > 0 zero
+        # skip dividing zeros: for a monomial D, as on both shipped curves,
+        # every r_k with k > 0 is zero
         r.append(acc / lead if acc else 0)
     return {k - v: c for k, c in enumerate(r) if c}
 
