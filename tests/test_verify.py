@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from bessel_tr import operators
-from bessel_tr.correlators import CorrelatorTable
-from bessel_tr.operators import evolve
-from bessel_tr.pseries import PSeries, free_energy, mono_degree, partition_function
+from bessel_tr.correlators import CorrelatorTable, odd_partitions
+from bessel_tr.operators import evolve, virasoro_apply
+from bessel_tr.pseries import PSeries, free_energy, mono, mono_degree, mono_json, partition_function
 from bessel_tr.verify import (
     TARGETS,
     RunContext,
@@ -158,3 +158,50 @@ def test_failing_table_reports_are_pinned():
     ]
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
     assert digest == "94e03aecff7add366ccb51b469b4bc43d6be136392c0a2f6dba12afe5e8b586b"
+
+
+def sweep_commutator_report(order, m_max):
+    """The commutator report as the full monomial sweep: each L_k of every
+    basis monomial of degree <= order, both sides of [L_m, L_n] = (m - n) L_{m+n}
+    compared on each, (m, n) outer and basis inner."""
+    basis = [mono((p, 1) for p in parts) for d in range(order + 1) for parts in odd_partitions(d)]
+    images = [
+        [virasoro_apply(k, PSeries({x: 1}, mono_degree(x))) for k in range(2 * m_max)]
+        for x in basis
+    ]
+    residuals = []
+    for m in range(m_max + 1):
+        for n in range(m + 1, m_max + 1):
+            for x, image in zip(basis, images):
+                lhs = virasoro_apply(m, image[n]) - virasoro_apply(n, image[m])
+                if not (lhs - image[m + n] * (m - n)).is_zero():
+                    residuals.append({"m": m, "n": n, "mono": mono_json(x)})
+    return {
+        "check": "commutator",
+        "order": order,
+        "reliable_order": order,
+        "status": "pass" if not residuals else "fail",
+        "residual_terms": residuals,
+    }
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_each_virasoro_table_can_fail_the_commutator(monkeypatch, k):
+    # every L_k the check reads at m_max 4 (k = m + n <= 7), with 1/3 added to
+    # its d/dp1, d/dp3, d/dp5 or d/dp7 coefficient in turn, must fail the
+    # report, row for row as the full monomial sweep lists it
+    original = operators._virasoro_table
+    for index in (1, 3, 5, 7):
+
+        def corrupted(m, top, index=index):
+            table = original(m, top)
+            if m != k:
+                return table
+            row = dict(table.get(((index, 1),), {}))
+            row[()] = row.get((), 0) + Fraction(1, 3)
+            return {**table, ((index, 1),): row}
+
+        monkeypatch.setattr(operators, "_virasoro_table", corrupted)
+        report = commutator_report(9, 4)
+        assert report["status"] == "fail", index
+        assert json.dumps(report) == json.dumps(sweep_commutator_report(9, 4)), index
