@@ -17,7 +17,8 @@ series in p1 alone, standing for w = hbar/z.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from itertools import product
+from math import comb, factorial, perm, prod
 
 from .correlators import CorrelatorTable, support_keys
 
@@ -114,6 +115,51 @@ def operator_table(terms) -> dict:
         row = table.setdefault(b, {})
         row[a] = row.get(a, 0) + Fraction(c)
     return table
+
+
+def _leibniz_terms(a: Mono, b: Mono):
+    """(k, a / C, b / C) for every common divisor C of a and b, where
+    d^b p^a = sum_C k p^(a / C) d^(b / C)."""
+    da, db = dict(a), dict(b)
+    common = [i for i in db if i in da]
+    if not common:
+        yield 1, a, b
+        return
+    for cs in product(*(range(min(da[i], db[i]) + 1) for i in common)):
+        k = prod(comb(db[i], c) * perm(da[i], c) for i, c in zip(common, cs))
+        lowered = dict(zip(common, cs))
+        yield (
+            k,
+            mono((i, e - lowered.get(i, 0)) for i, e in a),
+            mono((i, e - lowered.get(i, 0)) for i, e in b),
+        )
+
+
+def compose(outer: dict, inner: dict, top: int) -> dict:
+    """The normal-ordered product outer o inner of two tables {B: {A: c}},
+    keeping the terms whose derivative monomial has degree <= top.
+
+    Moving outer's d^B1 past inner's p^A2 by the Leibniz rule,
+
+        d^B1 p^A2 = sum_C prod_i binom(B1_i, C_i) (A2_i)_{C_i} p^(A2 - C) d^(B1 - C),
+
+    over C <= B1, A2 componentwise. The product reaches derivative order 4,
+    which `PSeries.apply` does not look up, so it is built here rather than
+    by `operator_table`, and is only compared, never applied."""
+    out: dict = {}
+    for b1, row1 in outer.items():
+        for b2, row2 in inner.items():
+            for a2, c2 in row2.items():
+                for k, a, b in _leibniz_terms(a2, b1):
+                    b = mono_mul(b, b2)
+                    if mono_degree(b) > top:
+                        continue
+                    row = out.setdefault(b, {})
+                    kc = k * c2
+                    for a1, c1 in row1.items():
+                        key = mono_mul(a1, a)
+                        row[key] = row.get(key, 0) + kc * c1
+    return out
 
 
 class PSeries:

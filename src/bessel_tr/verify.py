@@ -16,9 +16,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import operators
 from .correlators import CorrelatorTable, in_support, odd_partitions, support_keys
 from .operators import evolve, kdv_field, kdv_initial_series, virasoro_apply
-from .pseries import PSeries, free_energy, mono, mono_degree, mono_json, multiplicity_weight
+from .pseries import (
+    PSeries,
+    compose,
+    free_energy,
+    mono,
+    mono_degree,
+    mono_json,
+    multiplicity_weight,
+)
 from .spectral import CorrelationEngine, bessel_curve, stable_pairs, symmetric_table
 from .wave import coefficients, principal_specialize, quantum_curve_residual, wave_series
 
@@ -64,10 +73,10 @@ def virasoro_report(Z: PSeries, m_max: int) -> dict:
     """L_m Z = 0 for 0 <= m <= m_max. Every term of L_m Z sits at hbar-level
     (degree + 2m), and Z complete through degree N makes L_m Z complete
     through hbar-level N - 1, so each image is checked through degree
-    N - 1 - 2m."""
+    N - 1 - 2m, and m stops where that window empties, at (N - 1) // 2."""
     _refuse_empty_window("virasoro", order=Z.order, m_max=m_max)
     residuals = []
-    for m in range(m_max + 1):
+    for m in range(min(m_max, (Z.order - 1) // 2) + 1):
         residuals += _terms(virasoro_apply(m, Z).truncated(Z.order - 1 - 2 * m), m=m)
     return _report("virasoro", Z.order, Z.order - 1, residuals)
 
@@ -75,27 +84,62 @@ def virasoro_report(Z: PSeries, m_max: int) -> dict:
 def commutator_report(order: int, m_max: int) -> dict:
     """[L_m, L_n] = (m - n) L_{m+n} on every monomial of degree <= order,
     for 0 <= m < n <= m_max: m = n holds by construction and m > n is the
-    same identity negated.
+    same identity negated. For 2n > order, L_n and L_{m+n} kill every such
+    monomial and every image of one (no L_k raises degree), so n stops at
+    order // 2.
 
-    No L_k raises degree, so on a monomial x taken as the exact series of
-    order deg x both sides are exact and are compared in full. Each L_k of
-    a basis monomial is computed once and shared by every (m, n) pair that
-    needs it.
+    The verdict is made on operator tables: for each pair, R = L_m L_n -
+    L_n L_m - (m - n) L_{m+n}, composed by `compose` from the L tables sized
+    by order and kept to derivative degree <= order, must be empty. That
+    cut is exact. A term the sizing drops carries a derivative d/dp_j with
+    j > order, and so does every product term it feeds: a product keeps
+    the inner factor's derivatives, and loses an outer d/dp_j only against
+    a p_j of the inner factor, which an L table holds only beside
+    d/dp_{j+2k}. And a normal-ordered operator kills every monomial of
+    degree <= order iff its coefficients of derivative degree <= order all
+    vanish: on p^B, for B least among the d^B with a coefficient that does
+    not, only d^B itself acts. Only a pair whose R is not empty sweeps the basis, both sides
+    applied to each monomial x as the exact series of order deg x, to list
+    the monomials it fails on.
     """
     _refuse_empty_window("commutator", order=order, m_max=m_max)
-    basis = [mono((p, 1) for p in parts) for d in range(order + 1) for parts in odd_partitions(d)]
-    images = [
-        [virasoro_apply(k, PSeries({x: 1}, mono_degree(x))) for k in range(2 * m_max)]
-        for x in basis
+    n_max = min(m_max, order // 2)
+    failing = [
+        (m, n)
+        for m in range(n_max + 1)
+        for n in range(m + 1, n_max + 1)
+        if not _bracket_closes(m, n, order)
     ]
+    basis = (
+        [mono((p, 1) for p in parts) for d in range(order + 1) for parts in odd_partitions(d)]
+        if failing
+        else []
+    )
     residuals = []
-    for m in range(m_max + 1):
-        for n in range(m + 1, m_max + 1):
-            for x, image in zip(basis, images):
-                lhs = virasoro_apply(m, image[n]) - virasoro_apply(n, image[m])
-                if not (lhs - image[m + n] * (m - n)).is_zero():
-                    residuals.append({"m": m, "n": n, "mono": mono_json(x)})
+    for m, n in failing:
+        for x in basis:
+            s = PSeries({x: 1}, mono_degree(x))
+            lhs = virasoro_apply(m, virasoro_apply(n, s)) - virasoro_apply(n, virasoro_apply(m, s))
+            if not (lhs - virasoro_apply(m + n, s) * (m - n)).is_zero():
+                residuals.append({"m": m, "n": n, "mono": mono_json(x)})
     return _report("commutator", order, order, residuals)
+
+
+def _bracket_closes(m: int, n: int, order: int) -> bool:
+    """Whether L_m L_n - L_n L_m - (m - n) L_{m+n} has no coefficient of
+    derivative degree <= order, on the L tables sized by order."""
+    table = operators._virasoro_table
+    residual: dict = {}
+    parts = (
+        (1, compose(table(m, order), table(n, order), order)),
+        (-1, compose(table(n, order), table(m, order), order)),
+        (n - m, table(m + n, order)),
+    )
+    for q, part in parts:
+        for b, row in part.items():
+            for a, c in row.items():
+                residual[b, a] = residual.get((b, a), 0) + q * c
+    return not any(c for (b, _), c in residual.items() if mono_degree(b) <= order)
 
 
 def cutjoin_report(Z: PSeries) -> dict:
@@ -172,7 +216,8 @@ def sk_identity_report(table: CorrelatorTable, Z: PSeries) -> dict:
     """log of the specialised Z against the table, one hbar-power d at a
     time through Z.order: the sum over odd partitions of d of C(g; parts) /
     prod mult!. Reading the table, not F, keeps this route independent of
-    `free_energy`."""
+    `free_energy`. Each power that disagrees is a row, with the table's sum
+    as expected and the coefficient of the log as got."""
     # no sign: hbar -> -hbar gives w^d the sign (-1)^d and each correlator
     # (-1)^n, and n odd parts sum to d only when n = d mod 2
     residuals = []
@@ -183,8 +228,9 @@ def sk_identity_report(table: CorrelatorTable, Z: PSeries) -> dict:
             for parts in odd_partitions(d)
         )
         if a != rhs:
-            residuals = [{"identity": "sk-log"}]
-            break
+            residuals.append(
+                {"identity": "sk-log", "power": d, "expected": str(rhs), "got": str(a)}
+            )
     report = _report("sk-identity", Z.order, Z.order, residuals)
     # the two leading WKB terms are constants outside the series ring
     report["prefactor"] = {"S0": "-z", "S1": "-(1/2)*log(z)"}
@@ -199,7 +245,7 @@ _TARGETS = {
         {"order": 1, "m_max": 0},
         lambda ctx, o, c, m: virasoro_report(ctx.partition(o), m),
     ),
-    "commutator": ({"order": 0, "m_max": 1}, lambda ctx, o, c, m: commutator_report(o, m)),
+    "commutator": ({"order": 2, "m_max": 1}, lambda ctx, o, c, m: commutator_report(o, m)),
     "cutjoin": ({"order": 0}, lambda ctx, o, c, m: cutjoin_report(ctx.partition(o))),
     "kdv": ({"order": 5}, lambda ctx, o, c, m: kdv_report(ctx.free_energy(o))),
     "quantum-curve": ({"order": 1}, lambda ctx, o, c, m: quantum_curve_report(ctx.partition(o))),

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from time import perf_counter
 
 import pytest
 
@@ -157,6 +158,7 @@ def test_out_writes_file(tmp_path, capsys):
         ["verify", "--targets", "string-dilaton", "--chi-max", "0"],
         ["verify", "--targets", "cutjoin,kdv", "--order", "4"],
         ["verify", "--targets", "commutator", "--m-max", "0"],
+        ["verify", "--targets", "commutator", "--order", "1", "--m-max", str(10**11)],
     ],
 )
 def test_empty_window_exits_two(capsys, argv):
@@ -190,6 +192,17 @@ def test_kdv_at_its_floor_passes(capsys):
     report = json.loads(out)
     assert report["reliable_order"] == 0
     assert report["status"] == "pass"
+
+
+def test_huge_m_max_prints_the_bytes_of_half_the_order(capsys):
+    # L_m kills every monomial of degree <= order once 2m > order, so an
+    # --m-max past order // 2 checks nothing more, and must not cost more
+    flags = ["verify", "--targets", "virasoro,commutator", "--order", "10"]
+    start = perf_counter()
+    huge = run_cli(capsys, *flags, "--m-max", str(10**9))
+    elapsed = perf_counter() - start
+    assert huge == run_cli(capsys, *flags, "--m-max", "5")
+    assert elapsed < 1
 
 
 @pytest.mark.parametrize(

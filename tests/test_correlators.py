@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial
 
 import pytest
 
@@ -11,6 +12,7 @@ from bessel_tr.correlators import (
     odd_partitions,
     support_keys,
 )
+from bessel_tr.wave import double_factorial
 
 
 def string_dilaton_holds(t, g, parts):
@@ -72,6 +74,17 @@ def test_recursion_matches_all_closed_families():
         for n in range(max(len(shape), 1), 13):
             parts = family_parts(shape, n)
             assert t.value(g, parts) == closed_form(g, shape, n), (g, shape, n)
+
+
+def test_one_point_closed_form_at_depth():
+    # C(g; 2g - 1) = ((2g - 3)!!)^2 (2g - 1)!! / (8^g g!), far beyond the
+    # genus <= 4 families above: a cheap tripwire on the recursion at chi 29
+    t = CorrelatorTable()
+    for g in range(1, 16):
+        expected = Fraction(
+            double_factorial(2 * g - 3) ** 2 * double_factorial(2 * g - 1), 8**g * factorial(g)
+        )
+        assert t.value(g, (2 * g - 1,)) == expected, g
 
 
 def test_string_dilaton_examples():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from bessel_tr.correlators import CorrelatorTable, in_support, odd_partitions
 from bessel_tr.pseries import (
     PSeries,
+    compose,
     free_energy,
     mono,
     mono_degree,
+    mono_mul,
     mono_str,
+    operator_table,
     partition_function,
 )
 from bessel_tr.wave import principal_specialize
@@ -259,3 +262,53 @@ def test_leibniz_rule_property(a, b, i):
 def test_exp_matches_power_sum_on_free_energy():
     F = free_energy(CorrelatorTable(), 10)
     assert F.exp() == power_sum_exp(F)
+
+
+@st.composite
+def small_tables(draw):
+    """A random `operator_table` of one to four terms c p^A d^B over p1, p3,
+    p5, with exponents <= 2 in A and derivative order <= 2, so that an outer
+    d_i^2 can meet an inner p_i^2."""
+    var = st.sampled_from((1, 3, 5))
+    derivative = st.one_of(
+        st.just([]),
+        st.tuples(var, st.integers(1, 2)).map(lambda t: [t]),
+        st.lists(st.tuples(var, st.just(1)), min_size=2, max_size=2),
+    )
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.lists(st.tuples(var, st.integers(1, 2)), max_size=2))
+        c = Fraction(draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 4)))
+        terms.append((c, a, draw(derivative)))
+    return operator_table(terms)
+
+
+def apply_any_order(series, table):
+    """Apply {B: {A: c}} with derivatives of any order: d^B p^m is
+    prod (m_i)_(B_i) p^(m - B) where B divides m."""
+    out = PSeries({}, series.order)
+    for m, c in series.terms.items():
+        powers = dict(m)
+        for b, row in table.items():
+            if all(powers.get(i, 0) >= e for i, e in b):
+                k = c * prod(perm(powers[i], e) for i, e in b)
+                rest = mono((i, e - dict(b).get(i, 0)) for i, e in m)
+                image = {mono_mul(rest, a): k * q for a, q in row.items()}
+                out = out + PSeries(image, series.order)
+    return out
+
+
+@PROPERTY
+@given(sparse_series(), small_tables(), small_tables())
+# an outer d_1^2 past an inner p_1^2: Leibniz factors 1, 4 and 2
+@example(
+    PSeries({M((1, 2), (3, 1)): 1, M((1, 3)): 2, M((3, 1)): -1}, 5),
+    operator_table([(1, [], [(1, 2)]), (Fraction(1, 2), [(1, 1)], [(1, 1)])]),
+    operator_table([(1, [(1, 2)], [(3, 1)]), (3, [(1, 2)], [])]),
+)
+def test_compose_applies_as_its_factors_in_turn(s, outer, inner):
+    # no side truncates at order 64: s has degree <= 12 and each factor's A
+    # degree <= 20; compose keeps the derivatives that can act on s
+    s = PSeries(s.terms, 64)
+    top = max(map(mono_degree, s.terms), default=0)
+    assert apply_any_order(s, compose(outer, inner, top)) == s.apply(inner).apply(outer)

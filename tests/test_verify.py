@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bessel_tr import operators
+from bessel_tr import operators, verify
 from bessel_tr.correlators import CorrelatorTable, odd_partitions
 from bessel_tr.operators import evolve, virasoro_apply
 from bessel_tr.pseries import PSeries, free_energy, mono, mono_degree, mono_json, partition_function
@@ -48,6 +48,16 @@ def test_quantum_curve_routes_each_see_a_corrupted_z():
     assert {r["route"] for r in report["residual_terms"]} == {"specialised", "agreement"}
 
 
+@pytest.mark.parametrize("order, m_max", [(30, 4), (24, 6)])
+def test_commutator_closes_at_depth(monkeypatch, order, m_max):
+    # a pass is decided on the composed tables alone: no pair sweeps the basis
+    def sweep(*args):
+        raise AssertionError("the basis was swept")
+
+    monkeypatch.setattr(verify, "virasoro_apply", sweep)
+    assert commutator_report(order, m_max)["status"] == "pass"
+
+
 def test_string_dilaton_through_chi_fourteen():
     assert string_dilaton_report(CorrelatorTable(), 14)["status"] == "pass"
 
@@ -89,12 +99,20 @@ def test_run_target_refuses_an_empty_window():
     "report",
     [
         lambda: commutator_report(6, 0),
+        lambda: commutator_report(1, 4),
         lambda: virasoro_report(PSeries.one(0), 3),
         lambda: kdv_report(PSeries({}, 1)),
         lambda: string_dilaton_report(CorrelatorTable(), 0),
         lambda: oracle_equivalence_report(CorrelatorTable(), 0),
     ],
-    ids=["commutator", "virasoro", "kdv", "string-dilaton", "oracle-equivalence"],
+    ids=[
+        "commutator",
+        "commutator-order",
+        "virasoro",
+        "kdv",
+        "string-dilaton",
+        "oracle-equivalence",
+    ],
 )
 def test_reports_refuse_an_empty_window(report):
     # called directly, not through run_target, a report must still refuse
@@ -153,11 +171,13 @@ def test_failing_table_reports_are_pinned():
     assert [(r["check"], r["status"], len(r["residual_terms"])) for r in reports] == [
         ("string-dilaton", "fail", 7),
         ("oracle-equivalence", "fail", 6),
-        ("sk-identity", "fail", 1),
+        ("sk-identity", "fail", 3),
         ("quantum-curve", "fail", 3),
     ]
+    # the table's recursion carries the fault from hbar-power 2g - 2 + n = 4 upward
+    assert [r["power"] for r in reports[2]["residual_terms"]] == [4, 5, 6]
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
-    assert digest == "94e03aecff7add366ccb51b469b4bc43d6be136392c0a2f6dba12afe5e8b586b"
+    assert digest == "7b99c8514307f096661dbb78e351e0971f30b6a0aba6a5f017f5d5dbfd0c2193"
 
 
 def sweep_commutator_report(order, m_max):
