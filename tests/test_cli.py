@@ -284,6 +284,13 @@ _PINNED_DUMPS = {
         "csv": "568823d3ce1181af0e7a3ae14c3951b03cd3dc7f5653120bd7797b05820484ea",
         "text": "e5ca3ed5fe6e978dac38af9ff040b209b9a4ef16a3024ab1002161df3b690632",
     },
+    # depth: deep keys are where denominators reach hundreds of bits
+    ("u-table", "--chi-max", "24"): {
+        "json": "de3f15d479db1813a65113faab93c999cf60baf32f024eed9d27f7349c09939b",
+    },
+    ("partition", "--order", "24"): {
+        "json": "e0c00c11e27368b6ccf4341e78a6214bc087f95ebc30f7e60a9abbd8cb4a2881",
+    },
 }
 
 
