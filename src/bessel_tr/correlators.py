@@ -13,17 +13,18 @@ The quadratic sum runs over sub-multisets `left` of `rest`, not subsets: a
 split taking k of the c parts equal to v stands for comb(c, k) subsets and
 is weighted by the product of those binomials. The support law forces both
 genera, 2*g1 = a + sum(left) + 1 - |left| and g2 = g - g1, and each is at
-least 1 because every part is; no genus is summed over.
+least 1 because every part is; no genus is summed over. Each step sums
+integers and builds one `Fraction`, the memo entry.
 
 Also houses the genus <= 4 closed-form families and the support predicate.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 
 def canonical_parts(parts) -> tuple[int, ...]:
@@ -113,10 +114,14 @@ class CorrelatorTable:
         first = parts[pivot]
         rest = canonical_parts(parts[:pivot] + parts[pivot + 1 :])
         lookup = self._lookup
-        total = Fraction(0)
+        # 2 * first * C as integer sums keyed by denominator, put over their
+        # lcm once: a product a * b adds a.numerator * b.numerator under the
+        # key a.denominator * b.denominator
+        acc: dict[int, int] = defaultdict(int)
         for k in range(len(rest)):
             merged = first + rest[k] - 1
-            total += merged * lookup(g, canonical_parts((merged,) + rest[:k] + rest[k + 1 :]))
+            c = lookup(g, canonical_parts((merged,) + rest[:k] + rest[k + 1 :]))
+            acc[c.denominator] += 2 * merged * c.numerator
         groups = sorted(Counter(rest).items(), reverse=True)
         splits = []  # (weight, left, right, 2*g1 - alpha)
         for taken in product(*(range(c + 1) for _, c in groups)):
@@ -124,17 +129,18 @@ class CorrelatorTable:
             right = tuple(v for (v, c), k in zip(groups, taken) for _ in range(c - k))
             weight = prod(comb(c, k) for (_, c), k in zip(groups, taken))
             splits.append((weight, left, right, sum(left) + 1 - len(left)))
-        quad = Fraction(0)
         for alpha in range(1, first - 1, 2):
             beta = first - 1 - alpha
-            inner = lookup(g - 1, canonical_parts((alpha, beta) + rest))
+            ab = alpha * beta
+            c = lookup(g - 1, canonical_parts((alpha, beta) + rest))
+            acc[c.denominator] += ab * c.numerator
             for weight, left, right, shift in splits:
                 g1 = (alpha + shift) // 2
                 a = lookup(g1, canonical_parts((alpha,) + left))
-                inner += weight * a * lookup(g - g1, canonical_parts((beta,) + right))
-            quad += alpha * beta * inner
-        total += quad / 2
-        return total / first
+                b = lookup(g - g1, canonical_parts((beta,) + right))
+                acc[a.denominator * b.denominator] += ab * weight * a.numerator * b.numerator
+        den = lcm(*acc)
+        return Fraction(sum(n * (den // d) for d, n in acc.items()), 2 * first * den)
 
 
 _CLOSED_FAMILIES: dict[tuple[int, tuple[int, ...]], tuple[Fraction, int]] = {

@@ -9,6 +9,8 @@ even-index variables are unrepresentable by construction.
 Monomials are tuples ((index, exponent), ...) sorted by descending index.
 The canonical term order is graded, then lexicographic by descending
 variable index. exp and log run one Euler recursion over degree slices.
+Products, operator application, exp and log loop over integer numerators
+on a common denominator; every coefficient they return is a `Fraction`.
 
 This is the one series type: the specialised wave function of `wave` is a
 series in p1 alone, standing for w = hbar/z.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, perm, prod
+from math import comb, factorial, gcd, lcm, perm, prod
 
 from .correlators import CorrelatorTable, support_keys
 
@@ -72,9 +74,29 @@ def mono_json(m: Mono) -> dict:
     return {str(i): e for i, e in sorted(m)}
 
 
-def _slice_mul_add(acc: dict, q: Fraction, a: dict, b: dict) -> None:
-    """acc += q a b for degree slices held as {mono: coeff}; zero sums are
-    dropped when the slices become a series."""
+def _over(coeffs: dict) -> tuple[int, dict]:
+    """(D, {key: n}) with coeffs[key] = n / D, D the lcm of the denominators."""
+    D = lcm(*{c.denominator for c in coeffs.values()})
+    return D, {k: c.numerator * (D // c.denominator) for k, c in coeffs.items()}
+
+
+def _table_over(table: dict) -> tuple[int, dict]:
+    """`_over` for an operator table {B: {A: c}}, one D for every row."""
+    D = lcm(*(_over(row)[0] for row in table.values()))
+    rows = table.items()
+    return D, {b: {a: c.numerator * (D // c.denominator) for a, c in r.items()} for b, r in rows}
+
+
+def _graded(nums: dict, order: int) -> list[dict]:
+    """Terms bucketed by weighted degree: slot d holds the degree-d terms."""
+    out: list[dict] = [{} for _ in range(max(order, 0) + 1)]
+    for m, n in nums.items():
+        out[mono_degree(m)][m] = n
+    return out
+
+
+def _mul_add(acc: dict, q: int, a: dict, b: dict) -> None:
+    """acc += q a b for integer slices {mono: numerator}; zero sums stay."""
     for ma, ca in a.items():
         qa = q * ca
         for mb, cb in b.items():
@@ -146,6 +168,8 @@ def compose(outer: dict, inner: dict, top: int) -> dict:
     over C <= B1, A2 componentwise. The product reaches derivative order 4,
     which `PSeries.apply` does not look up, so it is built here rather than
     by `operator_table`, and is only compared, never applied."""
+    d_outer, outer = _table_over(outer)
+    d_inner, inner = _table_over(inner)
     out: dict = {}
     for b1, row1 in outer.items():
         for b2, row2 in inner.items():
@@ -159,7 +183,8 @@ def compose(outer: dict, inner: dict, top: int) -> dict:
                     for a1, c1 in row1.items():
                         key = mono_mul(a1, a)
                         row[key] = row.get(key, 0) + kc * c1
-    return out
+    D = d_outer * d_inner
+    return {b: {a: Fraction(n, D) for a, n in row.items()} for b, row in out.items()}
 
 
 class PSeries:
@@ -171,7 +196,7 @@ class PSeries:
         self.order = int(order)
         cleaned: dict[Mono, Fraction] = {}
         for m, c in (terms or {}).items():
-            c = Fraction(c)
+            c = c if isinstance(c, Fraction) else Fraction(c)
             if c and mono_degree(m) <= self.order:
                 cleaned[m] = c
         self.terms = cleaned
@@ -215,8 +240,10 @@ class PSeries:
         Each term looks up only its divisors B of total exponent <= 2 (1, p_v,
         p_v^2, p_v p_w), so its cost grows with the variables present, not
         with the table size. The truncation order is kept."""
-        out: dict[Mono, Fraction] = {}
-        for m, c in self.terms.items():
+        d_self, nums = _over(self.terms)
+        d_table, table = _table_over(table)
+        out: dict[Mono, int] = {}
+        for m, c in nums.items():
             for b, fac, rest in _low_divisors(m):
                 row = table.get(b)
                 if row:
@@ -224,7 +251,7 @@ class PSeries:
                     for a, q in row.items():
                         key = mono_mul(rest, a) if a else rest
                         out[key] = out.get(key, 0) + cf * q
-        return PSeries(out, self.order)
+        return PSeries({m: Fraction(n, d_self * d_table) for m, n in out.items() if n}, self.order)
 
     def __add__(self, other: "PSeries") -> "PSeries":
         out = dict(self.terms)
@@ -243,25 +270,16 @@ class PSeries:
             scalar = Fraction(other)
             return PSeries({m: c * scalar for m, c in self.terms.items()}, self.order)
         order = min(self.order, other.order)
-        a, b = self.slices(), other.slices()
-        out: dict[Mono, Fraction] = {}
+        d_a, a = _over(self.terms)
+        d_b, b = _over(other.terms)
+        a, b = _graded(a, self.order), _graded(b, other.order)
+        out: dict[Mono, int] = {}
         for da in range(order + 1):
             for db in range(order + 1 - da):
-                _slice_mul_add(out, 1, a[da], b[db])
-        return PSeries(out, order)
+                _mul_add(out, 1, a[da], b[db])
+        return PSeries({m: Fraction(n, d_a * d_b) for m, n in out.items() if n}, order)
 
     __rmul__ = __mul__
-
-    def slices(self) -> list[dict]:
-        """Terms bucketed by weighted degree: slot d holds the degree-d terms."""
-        out: list[dict] = [{} for _ in range(max(self.order, 0) + 1)]
-        for m, c in self.terms.items():
-            out[mono_degree(m)][m] = c
-        return out
-
-    @classmethod
-    def from_slices(cls, slices: list[dict], order: int) -> "PSeries":
-        return cls({m: c for s in slices for m, c in s.items()}, order)
 
     def exp(self) -> "PSeries":
         """exp by the Euler recursion over degree slices; requires zero
@@ -277,15 +295,7 @@ class PSeries:
         """
         if self.constant_term():
             raise ValueError("exp needs a zero constant term")
-        f = self.slices()
-        z = [{(): Fraction(1)}]
-        for d in range(1, len(f)):
-            acc: dict = {}
-            for k in range(1, d + 1):
-                if f[k]:
-                    _slice_mul_add(acc, Fraction(k, d), f[k], z[d - k])
-            z.append(acc)
-        return PSeries.from_slices(z, self.order)
+        return self._euler(log=False)
 
     def log(self) -> "PSeries":
         """log by the recursion of `exp` solved for F_d,
@@ -296,15 +306,28 @@ class PSeries:
         """
         if self.constant_term() != 1:
             raise ValueError("log needs constant term 1")
-        z = self.slices()
-        f: list[dict] = [{}]
-        for d in range(1, len(z)):
-            acc = dict(z[d])
-            for k in range(1, d):
-                if f[k]:
-                    _slice_mul_add(acc, Fraction(-k, d), f[k], z[d - k])
-            f.append(acc)
-        return PSeries.from_slices(f, self.order)
+        return self._euler(log=True)
+
+    def _euler(self, log: bool) -> "PSeries":
+        """o_d = [log] s_d + (1/d) sum_{k=1}^{d} w_k s_k o_{d-k} on the slices
+        s of this series, for exp (w_k = k, o_0 = 1) and log (w_k = k - d,
+        o_0 = 0). Slice o_d is held as integers over d D L, D the denominator
+        of s and L the lcm of the slices it reads, reduced by their gcd."""
+        D, nums = _over(self.terms)
+        s = _graded(nums, self.order)
+        o = [(1, {} if log else {(): 1})]
+        for d in range(1, len(s)):
+            reads = [k for k in range(1, d + 1) if s[k] and o[d - k][1]]
+            L = lcm(*(o[d - k][0] for k in reads))
+            acc = {m: n * d * L for m, n in s[d].items()} if log else {}
+            for k in reads:
+                den, prev = o[d - k]
+                _mul_add(acc, (k - d if log else k) * (L // den), s[k], prev)
+            den = d * D * L
+            g = gcd(den, *acc.values())
+            o.append((den // g, {m: n // g for m, n in acc.items() if n}))
+        terms = {m: Fraction(n, den) for den, slice_ in o for m, n in slice_.items()}
+        return PSeries(terms, self.order)
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: mono_sort_key(kv[0]))
