@@ -129,9 +129,11 @@ class CorrelatorTable:
             right = tuple(v for (v, c), k in zip(groups, taken) for _ in range(c - k))
             weight = prod(comb(c, k) for (_, c), k in zip(groups, taken))
             splits.append((weight, left, right, sum(left) + 1 - len(left)))
-        for alpha in range(1, first - 1, 2):
+        # the terms of alpha and of beta agree, with left and right swapped:
+        # take alpha <= beta and count alpha < beta twice
+        for alpha in range(1, (first - 1) // 2 + 1, 2):
             beta = first - 1 - alpha
-            ab = alpha * beta
+            ab = alpha * beta * (1 if alpha == beta else 2)
             c = lookup(g - 1, canonical_parts((alpha, beta) + rest))
             acc[c.denominator] += ab * c.numerator
             for weight, left, right, shift in splits:

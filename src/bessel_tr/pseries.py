@@ -82,7 +82,7 @@ def _over(coeffs: dict) -> tuple[int, dict]:
 
 def _table_over(table: dict) -> tuple[int, dict]:
     """`_over` for an operator table {B: {A: c}}, one D for every row."""
-    D = lcm(*(_over(row)[0] for row in table.values()))
+    D = lcm(*{c.denominator for row in table.values() for c in row.values()})
     rows = table.items()
     return D, {b: {a: c.numerator * (D // c.denominator) for a, c in r.items()} for b, r in rows}
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bessel_tr.correlators import CorrelatorTable, in_support, odd_partitions
+from bessel_tr.correlators import CorrelatorTable, in_support, odd_partitions, support_keys
 from bessel_tr.pseries import (
     PSeries,
     compose,
@@ -18,7 +18,7 @@ from bessel_tr.pseries import (
     operator_table,
     partition_function,
 )
-from bessel_tr.wave import principal_specialize
+from bessel_tr.wave import double_factorial, principal_specialize
 
 
 def M(*pairs):
@@ -179,10 +179,11 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 
 @st.composite
-def sparse_series(draw, constant=0, max_order=12):
+def sparse_series(draw, constant=0, max_order=12, denominators=st.integers(1, 6)):
     """A random sparse series of order <= max_order with the given constant
     term. The order is drawn first, then one to five monomials of degree
-    1 .. order, among them distinct ones of equal degree such as p3 and p1^3."""
+    1 .. order, among them distinct ones of equal degree such as p3 and p1^3,
+    with coefficients over `denominators`."""
     order = draw(st.integers(0, max_order))
     terms = {(): Fraction(constant)}
     candidates = [
@@ -191,7 +192,7 @@ def sparse_series(draw, constant=0, max_order=12):
     if candidates:
         monos = st.lists(st.sampled_from(candidates), min_size=1, max_size=5, unique=True)
         for m in draw(monos):
-            terms[m] = Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 6)))
+            terms[m] = Fraction(draw(st.integers(-6, 6).filter(bool)), draw(denominators))
     return PSeries(terms, order)
 
 
@@ -265,10 +266,10 @@ def test_exp_matches_power_sum_on_free_energy():
 
 
 @st.composite
-def small_tables(draw):
+def small_tables(draw, denominators=st.integers(1, 4)):
     """A random `operator_table` of one to four terms c p^A d^B over p1, p3,
     p5, with exponents <= 2 in A and derivative order <= 2, so that an outer
-    d_i^2 can meet an inner p_i^2."""
+    d_i^2 can meet an inner p_i^2; coefficients are over `denominators`."""
     var = st.sampled_from((1, 3, 5))
     derivative = st.one_of(
         st.just([]),
@@ -278,7 +279,7 @@ def small_tables(draw):
     terms = []
     for _ in range(draw(st.integers(1, 4))):
         a = draw(st.lists(st.tuples(var, st.integers(1, 2)), max_size=2))
-        c = Fraction(draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 4)))
+        c = Fraction(draw(st.integers(-4, 4).filter(bool)), draw(denominators))
         terms.append((c, a, draw(derivative)))
     return operator_table(terms)
 
@@ -312,3 +313,40 @@ def test_compose_applies_as_its_factors_in_turn(s, outer, inner):
     s = PSeries(s.terms, 64)
     top = max(map(mono_degree, s.terms), default=0)
     assert apply_any_order(s, compose(outer, inner, top)) == s.apply(inner).apply(outer)
+
+
+# pairwise coprime denominators up to 2^40: the lcm of two coefficients is
+# rarely either one, and slices reduce by large gcds
+WIDE = st.one_of(st.integers(0, 40).map(lambda k: 2**k), st.sampled_from((3**5, 7, 11)))
+
+
+@PROPERTY
+@given(
+    sparse_series(denominators=WIDE),
+    sparse_series(denominators=WIDE),
+    sparse_series(denominators=WIDE),
+)
+def test_series_algebra_with_wide_denominators(a, b, c):
+    assert a.exp() == power_sum_exp(a)
+    assert a.exp().log() == a
+    assert a * (b + c) == a * b + a * c
+
+
+@PROPERTY
+@given(sparse_series(denominators=WIDE), small_tables(denominators=WIDE))
+def test_apply_with_wide_denominators(s, table):
+    assert s.apply(table) == apply_any_order(s, table)
+
+
+def test_bessel_denominators_are_powers_of_two():
+    # observed, not proven, and checked on the Bessel curve only: through
+    # chi 24, prod mu_i!! C(g; mu) has denominator 2^e with e <= 4g - 1, and
+    # at order 24 each coefficient of Z = exp F times prod e_i! (i!!)^e_i has
+    # a power-of-two denominator; a tripwire on the recursion and on exp
+    table = CorrelatorTable()
+    for g, parts in support_keys(24):
+        d = (table.value(g, parts) * prod(double_factorial(p) for p in parts)).denominator
+        assert d & (d - 1) == 0 and d.bit_length() <= 4 * g, (g, parts)
+    for m, c in partition_function(table, 24).terms.items():
+        d = (c * prod(factorial(e) * double_factorial(i) ** e for i, e in m)).denominator
+        assert d & (d - 1) == 0, m

@@ -48,6 +48,15 @@ def test_quantum_curve_routes_each_see_a_corrupted_z():
     assert {r["route"] for r in report["residual_terms"]} == {"specialised", "agreement"}
 
 
+def test_every_target_passes_at_order_thirty():
+    # every identity at depth, on one shared table, F and Z
+    context = RunContext()
+    reports = [
+        run_target(name, order=30, chi_max=24, m_max=4, context=context) for name in TARGETS
+    ]
+    assert [(r["check"], r["status"]) for r in reports] == [(name, "pass") for name in TARGETS]
+
+
 @pytest.mark.parametrize("order, m_max", [(30, 4), (24, 6)])
 def test_commutator_closes_at_depth(monkeypatch, order, m_max):
     # a pass is decided on the composed tables alone: no pair sweeps the basis
