@@ -315,8 +315,9 @@ def test_compose_applies_as_its_factors_in_turn(s, outer, inner):
     assert apply_any_order(s, compose(outer, inner, top)) == s.apply(inner).apply(outer)
 
 
-# pairwise coprime denominators up to 2^40: the lcm of two coefficients is
-# rarely either one, and slices reduce by large gcds
+# denominators 2^k up to 2^40, 3^5, 7 and 11, coprime across the families:
+# a common denominator grows past each coefficient's, and slices reduce by
+# large gcds
 WIDE = st.one_of(st.integers(0, 40).map(lambda k: 2**k), st.sampled_from((3**5, 7, 11)))
 
 
