@@ -291,6 +291,12 @@ _PINNED_DUMPS = {
     ("partition", "--order", "24"): {
         "json": "e0c00c11e27368b6ccf4341e78a6214bc087f95ebc30f7e60a9abbd8cb4a2881",
     },
+    ("omega", "--curve", "airy", "--chi-max", "10"): {
+        "json": "64d1f98b5c857bad99defea2dc61722ad924748f40b74d05a1728bd3f7e27a12",
+    },
+    ("omega", "--curve", "bessel", "--chi-max", "20"): {
+        "json": "3587f5e957642f54099540b6b9eaa4dfd0bc656fd1256374a8e452a1d35b9dfb",
+    },
 }
 
 

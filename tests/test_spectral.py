@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -161,6 +163,30 @@ def test_germs_with_non_monomial_d_pass_symmetry():
         engine = CorrelationEngine(SpectralCurve(germ, "two-term"))
         for g, n in stable_pairs(chi_max):
             symmetric_table(engine.omega(g, n))
+
+
+@pytest.mark.parametrize(
+    "germ, chi_max, digest",
+    [
+        (
+            {-1: 1, 1: Fraction(3, 7), 3: Fraction(-5, 11)},
+            8,
+            "95ad610d4cf81a482345a371d917869fb90136b7fb5aa65bb88fe6bb68d434f2",
+        ),
+        (
+            {1: Fraction(2, 3), 3: Fraction(1, 5)},
+            5,
+            "952780a79fdd85f3025f8f5c40f4f9abd2e9a7183a609f5c2d999df2ffe723bd",
+        ),
+    ],
+)
+def test_wide_denominator_tensors_are_pinned(germ, chi_max, digest):
+    # odd germ coefficients other than 1 put 7, 11, 3 and 5 into D and 1/D,
+    # so every common denominator of the residue sums is wider than a power
+    # of two; symmetry alone would not see one of them dropped
+    engine = CorrelationEngine(SpectralCurve(germ, "wide"))
+    records = [r for g, n in stable_pairs(chi_max) for r in omega_records(engine.omega(g, n))]
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == digest
 
 
 def test_even_part_of_y_does_not_enter():
