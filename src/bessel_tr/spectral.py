@@ -41,7 +41,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+
+from .pseries import _over
 
 
 class ConsistencyError(RuntimeError):
@@ -160,67 +162,77 @@ class CorrelationEngine:
     def _compute(self, g: int, n: int) -> OmegaCoeffs:
         cap = self.curve.max_part(g, n) + self.MARGIN
         ext = n - 1
-        # sorted external indices -> z-density of the bracket (exponent -> coeff)
-        bracket: dict[tuple[int, ...], dict[int, Fraction]] = {}
-
-        # omega_{g-1, n+1}(z, -z, E): an entry (nu1; R) supplies every nu2
-        # once per distinct value in R, with E = R less one copy of nu2
-        if g >= 1:
-            if (g - 1, n + 1) == (0, 2):
-                bracket[()] = {-2: Fraction(-1, 4)}
-            else:
-                for idx, u in self.omega(g - 1, n + 1).coeffs.items():
-                    nu1 = idx[0]
-                    for i in range(1, n + 1):
-                        nu2 = idx[i]
-                        if i > 1 and idx[i - 1] == nu2:
-                            continue
-                        coeff = u * nu1 * nu2
-                        slot = bracket.setdefault(idx[1:i] + idx[i + 1 :], {})
-                        e = -(nu1 + nu2 + 2)
-                        slot[e] = slot.get(e, 0) + (-coeff if nu2 % 2 else coeff)
-
-        # quadratic sum over pairs (g1, I), (g2, J) of sorted externals;
-        # pairs containing omega_{0,1} are excluded before either factor is
-        # expanded (the excluded partner of such a pair is omega_{g,n}
-        # itself). A pair lands on E = merge(I, J) once for every way of
-        # placing I among the slots of E: prod_v C(m_v(E), m_v(I)).
+        # the factor pairs of the quadratic sum over pairs (g1, I), (g2, J)
+        # of sorted externals; pairs containing omega_{0,1} are excluded
+        # before either factor is expanded (the excluded partner of such a
+        # pair is omega_{g,n} itself)
+        pairs = []
         for g1 in range(g + 1):
             g2 = g - g1
             for k in range(ext + 1):
                 if (g1 == 0 and k == 0) or (g2 == 0 and k == ext):
                     continue
-                f1 = self._factor_terms(g1, k, barred=False, cap=cap)
+                den1, f1 = self._factor_terms(g1, k, barred=False, cap=cap)
                 if not f1:
                     continue
-                f2 = self._factor_terms(g2, ext - k, barred=True, cap=cap)
-                if not f2:
+                den2, f2 = self._factor_terms(g2, ext - k, barred=True, cap=cap)
+                if f2:
+                    pairs.append((den1 * den2, f1, f2))
+        # omega_{g-1, n+1}(z, -z, E) over its own denominator
+        den_top, top = 1, {}
+        if (g, n) == (1, 1):
+            den_top = 4
+        elif g >= 1:
+            den_top, top = _over(self.omega(g - 1, n + 1).coeffs)
+        # one denominator L for the whole bracket
+        L = lcm(den_top, *(den for den, _, _ in pairs))
+        # sorted external indices -> z-density of the bracket times L
+        bracket: dict[tuple[int, ...], dict[int, int]] = {}
+
+        # an entry (nu1; R) of omega_{g-1, n+1} supplies every nu2 once per
+        # distinct value in R, with E = R less one copy of nu2
+        if (g, n) == (1, 1):
+            bracket[()] = {-2: -(L // 4)}
+        scale = L // den_top
+        for idx, u in top.items():
+            nu1 = idx[0]
+            for i in range(1, n + 1):
+                nu2 = idx[i]
+                if i > 1 and idx[i - 1] == nu2:
                     continue
-                for left, d1 in f1.items():
-                    counts = Counter(left)
-                    for right, d2 in f2.items():
-                        weight = 1
-                        for v in set(right).intersection(counts):
-                            weight *= comb(counts[v] + right.count(v), counts[v])
-                        slot = bracket.setdefault(tuple(sorted(left + right, reverse=True)), {})
-                        for e1, c1 in d1.items():
-                            if weight > 1:
-                                c1 *= weight
-                            for e2, c2 in d2.items():
-                                e = e1 + e2
-                                slot[e] = slot[e] + c1 * c2 if e in slot else c1 * c2
+                coeff = u * scale * nu1 * nu2
+                slot = bracket.setdefault(idx[1:i] + idx[i + 1 :], {})
+                e = -(nu1 + nu2 + 2)
+                slot[e] = slot.get(e, 0) + (-coeff if nu2 % 2 else coeff)
+
+        # a pair lands on E = merge(I, J) once for every way of placing I
+        # among the slots of E: prod_v C(m_v(E), m_v(I))
+        for den, f1, f2 in pairs:
+            for left, d1 in f1.items():
+                counts = Counter(left)
+                for right, d2 in f2.items():
+                    weight = L // den
+                    for v in set(right).intersection(counts):
+                        weight *= comb(counts[v] + right.count(v), counts[v])
+                    slot = bracket.setdefault(tuple(sorted(left + right, reverse=True)), {})
+                    for e1, c1 in d1.items():
+                        if weight > 1:
+                            c1 *= weight
+                        for e2, c2 in d2.items():
+                            e = e1 + e2
+                            slot[e] = slot[e] + c1 * c2 if e in slot else c1 * c2
 
         # entry (b - 1; E) is -[z^(-b)] density(z) / D(z) divided by b - 1:
-        # a dot product of the density with the truncated 1/D, accumulated
-        # for b = 1 .. cap + 1 only
+        # a dot product of the density with the truncated 1/D, held over its
+        # own denominator and accumulated for b = 1 .. cap + 1 only
         coeffs: dict[tuple[int, ...], Fraction] = {}
         nonempty = [d for d in bracket.values() if any(d.values())]
         if nonempty:
             e_min = min(min(d) for d in nonempty)
-            inv = reciprocal(self._den, max(-1 - e_min, -min(self._den)))
+            den_inv, inv = _over(reciprocal(self._den, max(-1 - e_min, -min(self._den))))
             neg_inv = [(t, -d) for t, d in inv.items()]
             for key, density in bracket.items():
-                residues: dict[int, Fraction] = {}
+                residues: dict[int, int] = {}
                 for e, c in density.items():
                     for t, d in neg_inv:
                         b = -(e + t)
@@ -233,11 +245,12 @@ class CorrelationEngine:
                         raise ConsistencyError(
                             f"({g},{n}): residue left a simple pole in the live slot"
                         )
-                    coeffs[(b - 1,) + key] = r / (b - 1)
+                    coeffs[(b - 1,) + key] = Fraction(r, L * den_inv * (b - 1))
         return OmegaCoeffs(g, n, coeffs)
 
     def _factor_terms(self, g_i: int, k: int, barred: bool, cap: int):
-        """Expansion terms {I: {z-exponent: coeff}} of one product factor.
+        """Expansion terms (D, {I: {z-exponent: n}}) of one product factor,
+        the coefficient of a term being n / D.
 
         I holds the factor's k external indices, sorted descending. The
         caller has already excluded omega_{0,1} factors. A barred factor is
@@ -250,18 +263,16 @@ class CorrelationEngine:
         out = self._factors.get(key)
         if out is None:
             if omega02:
-                out = {
-                    (m,): {m - 1: Fraction(-1 if barred and m % 2 else 1)}
-                    for m in range(1, cap + 1)
-                }
+                out = 1, {(m,): {m - 1: -1 if barred and m % 2 else 1} for m in range(1, cap + 1)}
             else:
-                out = {}
-                for idx, u in self.omega(g_i, k + 1).coeffs.items():
+                den, nums = _over(self.omega(g_i, k + 1).coeffs)
+                out = den, {}
+                for idx, u in nums.items():
                     nu1 = idx[0]
                     coeff = u * nu1
                     if barred and nu1 % 2:
                         coeff = -coeff
-                    out.setdefault(idx[1:], {})[-(nu1 + 1)] = coeff
+                    out[1].setdefault(idx[1:], {})[-(nu1 + 1)] = coeff
             self._factors[key] = out
         return out
 

@@ -15,12 +15,14 @@ pass/fail decision is made here.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import operators
 from .correlators import CorrelatorTable, in_support, odd_partitions, support_keys
 from .operators import evolve, kdv_field, kdv_initial_series, virasoro_apply
 from .pseries import (
     PSeries,
+    _table_over,
     compose,
     free_energy,
     mono,
@@ -127,15 +129,22 @@ def commutator_report(order: int, m_max: int) -> dict:
 
 def _bracket_closes(m: int, n: int, order: int) -> bool:
     """Whether L_m L_n - L_n L_m - (m - n) L_{m+n} has no coefficient of
-    derivative degree <= order, on the L tables sized by order."""
+    derivative degree <= order, on the L tables sized by order. Only a zero
+    is looked for, so the three tables are summed as integer numerators over
+    one common denominator."""
     table = operators._virasoro_table
+    parts = [
+        (q, *_table_over(part))
+        for q, part in (
+            (1, compose(table(m, order), table(n, order), order)),
+            (-1, compose(table(n, order), table(m, order), order)),
+            (n - m, table(m + n, order)),
+        )
+    ]
+    L = lcm(*(den for _, den, _ in parts))
     residual: dict = {}
-    parts = (
-        (1, compose(table(m, order), table(n, order), order)),
-        (-1, compose(table(n, order), table(m, order), order)),
-        (n - m, table(m + n, order)),
-    )
-    for q, part in parts:
+    for q, den, part in parts:
+        q *= L // den
         for b, row in part.items():
             for a, c in row.items():
                 residual[b, a] = residual.get((b, a), 0) + q * c
