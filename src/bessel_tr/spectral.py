@@ -32,7 +32,8 @@ D(z) = [y(z) - y(-z)] z, and reading the z^(-1) coefficient leaves a
 polynomial in 1/z_1 whose coefficients are the entries (b; E). Each of them
 is one dot product of the density with the truncated series of 1/D
 (`reciprocal`). D is twice the odd part of y, times z, so the even
-part of y never enters.
+part of y never enters. The densities and dot products are sums of Python
+integers over one denominator per tensor, and each entry is one `Fraction`.
 """
 
 from __future__ import annotations
@@ -162,10 +163,9 @@ class CorrelationEngine:
     def _compute(self, g: int, n: int) -> OmegaCoeffs:
         cap = self.curve.max_part(g, n) + self.MARGIN
         ext = n - 1
-        # the factor pairs of the quadratic sum over pairs (g1, I), (g2, J)
-        # of sorted externals; pairs containing omega_{0,1} are excluded
-        # before either factor is expanded (the excluded partner of such a
-        # pair is omega_{g,n} itself)
+        # quadratic sum over pairs (g1, I), (g2, J) of sorted externals;
+        # pairs containing omega_{0,1} are excluded before either factor is
+        # expanded (the excluded partner of such a pair is omega_{g,n} itself)
         pairs = []
         for g1 in range(g + 1):
             g2 = g - g1
@@ -178,35 +178,32 @@ class CorrelationEngine:
                 den2, f2 = self._factor_terms(g2, ext - k, barred=True, cap=cap)
                 if f2:
                     pairs.append((den1 * den2, f1, f2))
-        # omega_{g-1, n+1}(z, -z, E) over its own denominator
+        # omega_{g-1, n+1}(z, -z, E) over its own denominator, 4 for omega_{0,2}
         den_top, top = 1, {}
         if (g, n) == (1, 1):
             den_top = 4
         elif g >= 1:
             den_top, top = _over(self.omega(g - 1, n + 1).coeffs)
-        # one denominator L for the whole bracket
         L = lcm(den_top, *(den for den, _, _ in pairs))
-        # sorted external indices -> z-density of the bracket times L
+        # sorted external indices -> L times the z-density of the bracket
         bracket: dict[tuple[int, ...], dict[int, int]] = {}
-
-        # an entry (nu1; R) of omega_{g-1, n+1} supplies every nu2 once per
-        # distinct value in R, with E = R less one copy of nu2
         if (g, n) == (1, 1):
             bracket[()] = {-2: -(L // 4)}
-        scale = L // den_top
+        # an entry (nu1; R) of omega_{g-1, n+1} supplies every nu2 once per
+        # distinct value in R, with E = R less one copy of nu2
         for idx, u in top.items():
             nu1 = idx[0]
             for i in range(1, n + 1):
                 nu2 = idx[i]
                 if i > 1 and idx[i - 1] == nu2:
                     continue
-                coeff = u * scale * nu1 * nu2
+                coeff = u * (L // den_top) * nu1 * nu2
                 slot = bracket.setdefault(idx[1:i] + idx[i + 1 :], {})
                 e = -(nu1 + nu2 + 2)
                 slot[e] = slot.get(e, 0) + (-coeff if nu2 % 2 else coeff)
 
-        # a pair lands on E = merge(I, J) once for every way of placing I
-        # among the slots of E: prod_v C(m_v(E), m_v(I))
+        # a pair lands on E = merge(I, J), times L / den, once for every way
+        # of placing I among the slots of E: prod_v C(m_v(E), m_v(I))
         for den, f1, f2 in pairs:
             for left, d1 in f1.items():
                 counts = Counter(left)
@@ -249,8 +246,7 @@ class CorrelationEngine:
         return OmegaCoeffs(g, n, coeffs)
 
     def _factor_terms(self, g_i: int, k: int, barred: bool, cap: int):
-        """Expansion terms (D, {I: {z-exponent: n}}) of one product factor,
-        the coefficient of a term being n / D.
+        """Expansion terms (D, {I: {z-exponent: n}}) of one product factor, each n / D.
 
         I holds the factor's k external indices, sorted descending. The
         caller has already excluded omega_{0,1} factors. A barred factor is

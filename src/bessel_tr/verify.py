@@ -129,21 +129,17 @@ def commutator_report(order: int, m_max: int) -> dict:
 
 def _bracket_closes(m: int, n: int, order: int) -> bool:
     """Whether L_m L_n - L_n L_m - (m - n) L_{m+n} has no coefficient of
-    derivative degree <= order, on the L tables sized by order. Only a zero
-    is looked for, so the three tables are summed as integer numerators over
-    one common denominator."""
+    derivative degree <= order, on the L tables sized by order, summed as
+    integer numerators over one denominator (only a zero is looked for)."""
     table = operators._virasoro_table
-    parts = [
-        (q, *_table_over(part))
-        for q, part in (
-            (1, compose(table(m, order), table(n, order), order)),
-            (-1, compose(table(n, order), table(m, order), order)),
-            (n - m, table(m + n, order)),
-        )
-    ]
-    L = lcm(*(den for _, den, _ in parts))
+    parts = (
+        (1, _table_over(compose(table(m, order), table(n, order), order))),
+        (-1, _table_over(compose(table(n, order), table(m, order), order))),
+        (n - m, _table_over(table(m + n, order))),
+    )
+    L = lcm(*(den for _, (den, _) in parts))
     residual: dict = {}
-    for q, den, part in parts:
+    for q, (den, part) in parts:
         q *= L // den
         for b, row in part.items():
             for a, c in row.items():
