@@ -262,13 +262,14 @@ class CorrelationEngine:
                 out = 1, {(m,): {m - 1: -1 if barred and m % 2 else 1} for m in range(1, cap + 1)}
             else:
                 den, nums = _over(self.omega(g_i, k + 1).coeffs)
-                out = den, {}
+                terms: dict = {}
                 for idx, u in nums.items():
                     nu1 = idx[0]
                     coeff = u * nu1
                     if barred and nu1 % 2:
                         coeff = -coeff
-                    out[1].setdefault(idx[1:], {})[-(nu1 + 1)] = coeff
+                    terms.setdefault(idx[1:], {})[-(nu1 + 1)] = coeff
+                out = den, terms
             self._factors[key] = out
         return out
 
