@@ -16,20 +16,28 @@ genera, 2*g1 = a + sum(left) + 1 - |left| and g2 = g - g1, and each is at
 least 1 because every part is; no genus is summed over. Each step sums
 integers and builds one `Fraction`, the memo entry.
 
-Also houses the genus <= 4 closed-form families and the support predicate.
+Also houses the support predicate and the enumeration of the support.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, lcm, prod
+from math import comb, lcm, prod
+from operator import neg
 
 
 def canonical_parts(parts) -> tuple[int, ...]:
     """Sorted-descending tuple; the canonical memo key."""
     return tuple(sorted(parts, reverse=True))
+
+
+def _insert(v: int, parts: tuple[int, ...]) -> tuple[int, ...]:
+    """v inserted into the sorted-descending tuple `parts`."""
+    i = bisect_left(parts, -v, key=neg)
+    return parts[:i] + (v,) + parts[i:]
 
 
 def in_support(g: int, parts) -> bool:
@@ -77,6 +85,7 @@ class CorrelatorTable:
         self._entries: dict[tuple[int, tuple[int, ...]], Fraction] = {
             (1, (1,)): Fraction(1, 8)
         }
+        self._split_memo: dict[tuple[int, ...], list] = {}
 
     def value(self, g: int, parts) -> Fraction:
         """Coefficient for genus g and the given parts (any order).
@@ -99,6 +108,22 @@ class CorrelatorTable:
         got = self._entries.get((g, parts))
         return self.value(g, parts) if got is None else got
 
+    def _splits(self, rest: tuple[int, ...]) -> list:
+        """(weight, left, right, 2*g1 - alpha) for every sub-multiset `left` of
+        the sorted `rest` and its complement `right`, both sorted; built once
+        per `rest`."""
+        splits = self._split_memo.get(rest)
+        if splits is None:
+            groups = sorted(Counter(rest).items(), reverse=True)
+            splits = []
+            for taken in product(*(range(c + 1) for _, c in groups)):
+                left = tuple(v for (v, _), k in zip(groups, taken) for _ in range(k))
+                right = tuple(v for (v, c), k in zip(groups, taken) for _ in range(c - k))
+                weight = prod(comb(c, k) for (_, c), k in zip(groups, taken))
+                splits.append((weight, left, right, sum(left) + 1 - len(left)))
+            self._split_memo[rest] = splits
+        return splits
+
     def recursion_step(self, g: int, parts, pivot: int) -> Fraction:
         """One unfolding of the recursion with parts[pivot] distinguished.
 
@@ -114,6 +139,7 @@ class CorrelatorTable:
         first = parts[pivot]
         rest = canonical_parts(parts[:pivot] + parts[pivot + 1 :])
         lookup = self._lookup
+        splits = self._splits(rest)
         # 2 * first * C as integer sums keyed by denominator, put over their
         # lcm once: a product a * b adds a.numerator * b.numerator under the
         # key a.denominator * b.denominator
@@ -122,13 +148,6 @@ class CorrelatorTable:
             merged = first + rest[k] - 1
             c = lookup(g, canonical_parts((merged,) + rest[:k] + rest[k + 1 :]))
             acc[c.denominator] += 2 * merged * c.numerator
-        groups = sorted(Counter(rest).items(), reverse=True)
-        splits = []  # (weight, left, right, 2*g1 - alpha)
-        for taken in product(*(range(c + 1) for _, c in groups)):
-            left = tuple(v for (v, _), k in zip(groups, taken) for _ in range(k))
-            right = tuple(v for (v, c), k in zip(groups, taken) for _ in range(c - k))
-            weight = prod(comb(c, k) for (_, c), k in zip(groups, taken))
-            splits.append((weight, left, right, sum(left) + 1 - len(left)))
         # the terms of alpha and of beta agree, with left and right swapped:
         # take alpha <= beta and count alpha < beta twice
         for alpha in range(1, (first - 1) // 2 + 1, 2):
@@ -138,42 +157,8 @@ class CorrelatorTable:
             acc[c.denominator] += ab * c.numerator
             for weight, left, right, shift in splits:
                 g1 = (alpha + shift) // 2
-                a = lookup(g1, canonical_parts((alpha,) + left))
-                b = lookup(g - g1, canonical_parts((beta,) + right))
+                a = lookup(g1, _insert(alpha, left))
+                b = lookup(g - g1, _insert(beta, right))
                 acc[a.denominator * b.denominator] += ab * weight * a.numerator * b.numerator
         den = lcm(*acc)
         return Fraction(sum(n * (den // d) for d, n in acc.items()), 2 * first * den)
-
-
-_CLOSED_FAMILIES: dict[tuple[int, tuple[int, ...]], tuple[Fraction, int]] = {
-    (1, ()): (Fraction(1, 2**3), -1),
-    (2, (3,)): (Fraction(3, 2**8), 1),
-    (3, (5,)): (Fraction(15, 2**13), 3),
-    (3, (3, 3)): (Fraction(21, 5 * 2**12), 3),
-    (4, (7,)): (Fraction(175, 2**19), 5),
-    (4, (5, 3)): (Fraction(575, 7 * 2**19), 5),
-    (4, (3, 3, 3)): (Fraction(2407, 105 * 2**18), 5),
-}
-
-
-def closed_form(g: int, shape, n: int) -> Fraction:
-    """Tabulated factorial formula for one of the seven genus <= 4 families.
-
-    `shape` lists the parts larger than one; the full index is shape padded
-    with ones up to n parts. Untabulated (g, shape) pairs are rejected.
-    """
-    shape = canonical_parts(shape)
-    family = _CLOSED_FAMILIES.get((g, shape))
-    if family is None:
-        raise ValueError(f"no tabulated family for genus {g} with shape {shape}")
-    if n < max(len(shape), 1):
-        raise ValueError(f"need at least {max(len(shape), 1)} parts, got n={n}")
-    coeff, shift = family
-    return coeff * factorial(n + shift)
-
-
-def family_parts(shape, n: int) -> tuple[int, ...]:
-    """The full index of a closed-form family: shape padded with ones."""
-    shape = canonical_parts(shape)
-    return shape + (1,) * (n - len(shape))
-

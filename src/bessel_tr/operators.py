@@ -89,15 +89,16 @@ def cut_and_join(series: PSeries) -> PSeries:
 
 def evolve(order: int) -> PSeries:
     """The flow sum_{k <= order} M^k 1 / k!; M raises degree by one, so the
-    k-th summand is exactly the degree-k slice."""
+    k-th summand is exactly the degree-k slice and the sum is their union."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    acc = PSeries.one(order)
     power = PSeries.one(order)
+    terms = dict(power.terms)
     for k in range(1, order + 1):
         power = cut_and_join(power)
-        acc = acc + power * Fraction(1, factorial(k))
-    return acc
+        scale = Fraction(1, factorial(k))
+        terms.update((m, c * scale) for m, c in power.terms.items())
+    return PSeries(terms, order)
 
 
 def kdv_initial_series(order: int) -> PSeries:

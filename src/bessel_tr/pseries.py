@@ -11,6 +11,8 @@ The canonical term order is graded, then lexicographic by descending
 variable index. exp and log run one Euler recursion over degree slices.
 Products, operator application, exp and log loop over integer numerators
 on a common denominator; every coefficient they return is a `Fraction`.
+The commutator `bracket` of two operator tables returns its integer
+numerators with their denominator.
 
 This is the one series type: the specialised wave function of `wave` is a
 series in p1 alone, standing for w = hbar/z.
@@ -139,15 +141,17 @@ def operator_table(terms) -> dict:
     return table
 
 
-def _leibniz_terms(a: Mono, b: Mono):
-    """(k, a / C, b / C) for every common divisor C of a and b, where
-    d^b p^a = sum_C k p^(a / C) d^(b / C)."""
-    da, db = dict(a), dict(b)
-    common = [i for i in db if i in da]
+def _contractions(a: Mono, b: Mono):
+    """(k, a / C, b / C) for every common divisor C != 1 of a and b: the terms
+    of d^b p^a = sum_C k p^(a / C) d^(b / C) other than p^a d^b itself."""
+    da = dict(a)
+    common = [i for i, _ in b if i in da]
     if not common:
-        yield 1, a, b
         return
+    db = dict(b)
     for cs in product(*(range(min(da[i], db[i]) + 1) for i in common)):
+        if not any(cs):
+            continue
         k = prod(comb(db[i], c) * perm(da[i], c) for i, c in zip(common, cs))
         lowered = dict(zip(common, cs))
         yield (
@@ -157,34 +161,37 @@ def _leibniz_terms(a: Mono, b: Mono):
         )
 
 
-def compose(outer: dict, inner: dict, top: int) -> dict:
-    """The normal-ordered product outer o inner of two tables {B: {A: c}},
-    keeping the terms whose derivative monomial has degree <= top.
+def bracket(x: dict, y: dict, top: int) -> tuple[int, dict]:
+    """The commutator x o y - y o x of two tables {B: {A: c}}, normal
+    ordered, as (D, {B: {A: n}}) with coefficients n / D, keeping the terms
+    whose derivative monomial has degree <= top.
 
-    Moving outer's d^B1 past inner's p^A2 by the Leibniz rule,
+    Moving the outer factor's d^B1 past the inner factor's p^A2 by the
+    Leibniz rule,
 
         d^B1 p^A2 = sum_C prod_i binom(B1_i, C_i) (A2_i)_{C_i} p^(A2 - C) d^(B1 - C),
 
-    over C <= B1, A2 componentwise. The product reaches derivative order 4,
-    which `PSeries.apply` does not look up, so it is built here rather than
-    by `operator_table`, and is only compared, never applied."""
-    d_outer, outer = _table_over(outer)
-    d_inner, inner = _table_over(inner)
+    over C <= B1, A2 componentwise. The C = 1 terms of x o y and y o x are
+    both c1 c2 p^(A1 + A2) d^(B1 + B2) and cancel, so only the contractions
+    C != 1 are summed. The result reaches derivative order 4, which
+    `PSeries.apply` does not look up; it is only compared, never applied."""
+    d_x, x = _table_over(x)
+    d_y, y = _table_over(y)
     out: dict = {}
-    for b1, row1 in outer.items():
-        for b2, row2 in inner.items():
-            for a2, c2 in row2.items():
-                for k, a, b in _leibniz_terms(a2, b1):
-                    b = mono_mul(b, b2)
-                    if mono_degree(b) > top:
-                        continue
-                    row = out.setdefault(b, {})
-                    kc = k * c2
-                    for a1, c1 in row1.items():
-                        key = mono_mul(a1, a)
-                        row[key] = row.get(key, 0) + kc * c1
-    D = d_outer * d_inner
-    return {b: {a: Fraction(n, D) for a, n in row.items()} for b, row in out.items()}
+    for sign, outer, inner in ((1, x, y), (-1, y, x)):
+        for b1, row1 in outer.items():
+            for b2, row2 in inner.items():
+                for a2, c2 in row2.items():
+                    for k, a, b in _contractions(a2, b1):
+                        b = mono_mul(b, b2)
+                        if mono_degree(b) > top:
+                            continue
+                        row = out.setdefault(b, {})
+                        kc = sign * k * c2
+                        for a1, c1 in row1.items():
+                            key = mono_mul(a1, a)
+                            row[key] = row.get(key, 0) + kc * c1
+    return d_x * d_y, out
 
 
 class PSeries:
@@ -231,7 +238,14 @@ class PSeries:
 
     def partial(self, index: int) -> "PSeries":
         """Formal partial derivative by p_index; the truncation order is kept."""
-        return self.apply(operator_table([(1, [], [(index, 1)])]))
+        mono([(index, 1)])  # rejects an index that is even or not positive
+        out = {}
+        for m, c in self.terms.items():
+            for x, (v, e) in enumerate(m):
+                if v == index:
+                    out[_lowered(m, x)] = c * e
+                    break
+        return PSeries(out, self.order)
 
     def apply(self, table: dict) -> "PSeries":
         """Apply the normal-ordered operator sum_B (sum_A c p^A) d^B, derivatives

@@ -38,8 +38,7 @@ integers over one denominator per tensor, and each entry is one `Fraction`.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from functools import cached_property
 from fractions import Fraction
 from math import comb, lcm
@@ -77,17 +76,13 @@ def reciprocal(coeffs: dict, max_exponent: int) -> dict:
     return {k - v: c for k, c in enumerate(r) if c}
 
 
-@dataclass(frozen=True)
 class SpectralCurve:
     """x = z^2/2 with a display label and y as a Laurent germ {exponent:
     coefficient}, whose values become Fractions and whose zeros are dropped."""
 
-    y_germ: dict[int, Fraction]
-    label: str
-
-    def __post_init__(self):
-        germ = {int(k): Fraction(c) for k, c in self.y_germ.items() if c}
-        object.__setattr__(self, "y_germ", germ)
+    def __init__(self, y_germ: dict, label: str):
+        self.y_germ = {int(k): Fraction(c) for k, c in y_germ.items() if c}
+        self.label = label
 
     @cached_property
     def kernel_denominator(self) -> dict[int, Fraction]:
@@ -123,14 +118,11 @@ def airy_curve() -> SpectralCurve:
     return SpectralCurve({1: 1}, "airy")
 
 
-@dataclass(frozen=True)
-class OmegaCoeffs:
+class OmegaCoeffs(namedtuple("OmegaCoeffs", "g n coeffs")):
     """Coefficient tensor of one correlation differential, keyed
     (live index,) + externals sorted descending; see `symmetric_table`."""
 
-    g: int
-    n: int
-    coeffs: dict[tuple[int, ...], Fraction] = field(default_factory=dict)
+    __slots__ = ()
 
 
 class CorrelationEngine:

@@ -23,7 +23,7 @@ from .operators import evolve, kdv_field, kdv_initial_series, virasoro_apply
 from .pseries import (
     PSeries,
     _table_over,
-    compose,
+    bracket,
     free_energy,
     mono,
     mono_degree,
@@ -90,19 +90,21 @@ def commutator_report(order: int, m_max: int) -> dict:
     monomial and every image of one (no L_k raises degree), so n stops at
     order // 2.
 
-    The verdict is made on operator tables: for each pair, R = L_m L_n -
-    L_n L_m - (m - n) L_{m+n}, composed by `compose` from the L tables sized
-    by order and kept to derivative degree <= order, must be empty. That
-    cut is exact. A term the sizing drops carries a derivative d/dp_j with
-    j > order, and so does every product term it feeds: a product keeps
-    the inner factor's derivatives, and loses an outer d/dp_j only against
-    a p_j of the inner factor, which an L table holds only beside
-    d/dp_{j+2k}. And a normal-ordered operator kills every monomial of
-    degree <= order iff its coefficients of derivative degree <= order all
-    vanish: on p^B, for B least among the d^B with a coefficient that does
-    not, only d^B itself acts. Only a pair whose R is not empty sweeps the basis, both sides
-    applied to each monomial x as the exact series of order deg x, to list
-    the monomials it fails on.
+    The verdict is made on operator tables: for each pair, R = [L_m, L_n] -
+    (m - n) L_{m+n}, with the commutator summed by `bracket` from the L
+    tables sized by order (only the Leibniz terms that contract a
+    derivative, as the others cancel) and kept to derivative degree
+    <= order, must be empty. That cut is exact. A term the sizing drops
+    carries a derivative d/dp_j with j > order, and so does every product
+    term it feeds: a product keeps the inner factor's derivatives, and
+    loses an outer d/dp_j only against a p_j of the inner factor, which an
+    L table holds only beside d/dp_{j+2k}. And a normal-ordered operator
+    kills every monomial of degree <= order iff its coefficients of
+    derivative degree <= order all vanish: on p^B, for B least among the
+    d^B with a coefficient that does not, only d^B itself acts. Only a pair
+    whose R is not empty sweeps the basis, both sides applied to each
+    monomial x as the exact series of order deg x, to list the monomials
+    it fails on.
     """
     _refuse_empty_window("commutator", order=order, m_max=m_max)
     n_max = min(m_max, order // 2)
@@ -132,19 +134,15 @@ def _bracket_closes(m: int, n: int, order: int) -> bool:
     derivative degree <= order, on the L tables sized by order, summed as
     integer numerators over one denominator (only a zero is looked for)."""
     table = operators._virasoro_table
-    parts = (
-        (1, _table_over(compose(table(m, order), table(n, order), order))),
-        (-1, _table_over(compose(table(n, order), table(m, order), order))),
-        (n - m, _table_over(table(m + n, order))),
-    )
-    L = lcm(*(den for _, (den, _) in parts))
-    residual: dict = {}
-    for q, (den, part) in parts:
-        q *= L // den
-        for b, row in part.items():
-            for a, c in row.items():
-                residual[b, a] = residual.get((b, a), 0) + q * c
-    return not any(c for (b, _), c in residual.items() if mono_degree(b) <= order)
+    den_b, residual = bracket(table(m, order), table(n, order), order)
+    den_l, lower = _table_over(table(m + n, order))
+    L = lcm(den_b, den_l)
+    q_b, q_l = L // den_b, (n - m) * (L // den_l)
+    sums = {(b, a): q_b * c for b, row in residual.items() for a, c in row.items()}
+    for b, row in lower.items():
+        for a, c in row.items():
+            sums[b, a] = sums.get((b, a), 0) + q_l * c
+    return not any(c for (b, _), c in sums.items() if mono_degree(b) <= order)
 
 
 def cutjoin_report(Z: PSeries) -> dict:
@@ -199,7 +197,9 @@ def oracle_equivalence_report(table: CorrelatorTable, chi_max: int) -> dict:
     _refuse_empty_window("oracle-equivalence", chi_max=chi_max)
     engine = CorrelationEngine(bessel_curve())
     residuals = []
-    expected = {(g, parts): table.value(g, parts) for g, parts in support_keys(chi_max)}
+    expected: dict = {}  # (g, n) -> {parts: value}
+    for g, parts in support_keys(chi_max):
+        expected.setdefault((g, len(parts)), {})[parts] = table.value(g, parts)
     for g, n in stable_pairs(chi_max):
         got = symmetric_table(engine.omega(g, n))
         for mu, value in got.items():
@@ -207,13 +207,12 @@ def oracle_equivalence_report(table: CorrelatorTable, chi_max: int) -> dict:
                 residuals.append(
                     {"g": g, "mu": list(mu), "expected": "0", "got": str(value)}
                 )
-        for (gg, parts), value in expected.items():
-            if gg == g and len(parts) == n:
-                seen = got.get(parts, Fraction(0))
-                if seen != value:
-                    residuals.append(
-                        {"g": g, "mu": list(parts), "expected": str(value), "got": str(seen)}
-                    )
+        for parts, value in expected.get((g, n), {}).items():
+            seen = got.get(parts, Fraction(0))
+            if seen != value:
+                residuals.append(
+                    {"g": g, "mu": list(parts), "expected": str(value), "got": str(seen)}
+                )
     return _report("oracle-equivalence", chi_max, chi_max, residuals)
 
 

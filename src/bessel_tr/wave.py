@@ -19,16 +19,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .pseries import PSeries, mono, mono_degree, operator_table
+from .pseries import PSeries, _over, mono, mono_degree, operator_table
 
 
 def principal_specialize(series: PSeries) -> PSeries:
-    """Substitute p_i = z^(-i): a term of weighted degree d lands on w^d = p1^d."""
+    """Substitute p_i = z^(-i): a term of weighted degree d lands on w^d = p1^d.
+    The numerators of each degree are summed over one denominator."""
+    den, nums = _over(series.terms)
     out: dict = {}
-    for m, c in series.terms.items():
-        key = mono([(1, mono_degree(m))])
-        out[key] = out.get(key, 0) + c
-    return PSeries(out, series.order)
+    for m, n in nums.items():
+        d = mono_degree(m)
+        out[d] = out.get(d, 0) + n
+    return PSeries({mono([(1, d)]): Fraction(n, den) for d, n in out.items()}, series.order)
 
 
 def coefficients(psi: PSeries) -> list[Fraction]:

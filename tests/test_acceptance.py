@@ -6,10 +6,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from closed_families import closed_form, family_parts
+
 from bessel_tr.correlators import (
     CorrelatorTable,
-    closed_form,
-    family_parts,
     in_support,
     odd_partitions,
 )

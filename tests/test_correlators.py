@@ -4,10 +4,10 @@ from math import factorial
 
 import pytest
 
+from closed_families import closed_form, family_parts
+
 from bessel_tr.correlators import (
     CorrelatorTable,
-    closed_form,
-    family_parts,
     in_support,
     odd_partitions,
     support_keys,

@@ -6,8 +6,15 @@ from hypothesis import strategies as st
 from test_pseries import PROPERTY, sparse_series
 
 from bessel_tr.correlators import CorrelatorTable, odd_partitions
-from bessel_tr.operators import cut_and_join, evolve, kdv_field, kdv_initial_series, virasoro_apply
-from bessel_tr.pseries import PSeries, free_energy, mono, mono_degree, partition_function
+from bessel_tr.operators import (
+    _virasoro_table,
+    cut_and_join,
+    evolve,
+    kdv_field,
+    kdv_initial_series,
+    virasoro_apply,
+)
+from bessel_tr.pseries import PSeries, bracket, free_energy, mono, mono_degree, partition_function
 from bessel_tr.verify import kdv_report, virasoro_report
 from bessel_tr.wave import quantum_curve_residual
 
@@ -123,6 +130,19 @@ def test_commutator_on_monomial_basis():
             for m in range(5):
                 for n in range(m, 5):
                     assert commutator_holds(m, n, a), (m, n, key)
+
+
+def test_bracket_of_virasoro_tables_closes_at_order_30():
+    # [L_m, L_n] - (m - n) L_{m+n} on the tables sized by 30, every
+    # coefficient of derivative degree <= 30 compared exactly: none is left
+    for n in range(1, 7):
+        for m in range(n):
+            den, nums = bracket(_virasoro_table(m, 30), _virasoro_table(n, 30), 30)
+            diff = {(b, a): Fraction(c, den) for b, row in nums.items() for a, c in row.items()}
+            for b, row in _virasoro_table(m + n, 30).items():
+                for a, c in row.items():
+                    diff[b, a] = diff.get((b, a), 0) - (m - n) * c
+            assert not any(diff.values()), (m, n)
 
 
 def test_cut_and_join_steps():

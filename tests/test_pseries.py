@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bessel_tr.correlators import CorrelatorTable, in_support, odd_partitions, support_keys
 from bessel_tr.pseries import (
     PSeries,
-    compose,
+    bracket,
     free_energy,
     mono,
     mono_degree,
@@ -307,12 +307,20 @@ def apply_any_order(series, table):
     operator_table([(1, [], [(1, 2)]), (Fraction(1, 2), [(1, 1)], [(1, 1)])]),
     operator_table([(1, [(1, 2)], [(3, 1)]), (3, [(1, 2)], [])]),
 )
-def test_compose_applies_as_its_factors_in_turn(s, outer, inner):
+def test_bracket_applies_as_the_commutator(s, x, y):
     # no side truncates at order 64: s has degree <= 12 and each factor's A
-    # degree <= 20; compose keeps the derivatives that can act on s
+    # degree <= 20; bracket keeps the derivatives that can act on s
     s = PSeries(s.terms, 64)
     top = max(map(mono_degree, s.terms), default=0)
-    assert apply_any_order(s, compose(outer, inner, top)) == s.apply(inner).apply(outer)
+    den, nums = bracket(x, y, top)
+    table = {b: {a: Fraction(n, den) for a, n in row.items()} for b, row in nums.items()}
+    assert apply_any_order(s, table) == s.apply(y).apply(x) - s.apply(x).apply(y)
+
+
+@PROPERTY
+@given(sparse_series(max_order=20, denominators=st.integers(1, 12)), st.sampled_from((1, 3, 5, 7)))
+def test_partial_matches_the_operator_table_route(s, i):
+    assert s.partial(i) == s.apply(operator_table([(1, [], [(i, 1)])]))
 
 
 # denominators 2^k up to 2^40, 3^5, 7 and 11, coprime across the families:
