@@ -337,3 +337,90 @@ def test_inverse_of_zero_rejected():
         reciprocal(cancelled, 3)
     with pytest.raises(ZeroDivisionError):
         reciprocal({}, 3)
+
+
+def _int_partitions(total, largest=None):
+    """Partitions of total into positive integers, parts descending."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, largest or total), 0, -1):
+        for tail in _int_partitions(total - first, first):
+            yield (first,) + tail
+
+
+def _bessel_family_law(table, b, g, n):
+    """U_y(g; mu) for y = 1/z + sum_k b[k] z^(2k - 1), read off the closed
+    recursion at the shifted times p_(2k+1) -> p_(2k+1) - b[k]: every
+    multiset J with sum J = (2g - 2 + n - sum mu) / 2 adds
+    prod_(j in J) (-b[j]) / prod mult(J)! * C(g; mu + {2j + 1 : j in J})."""
+    law = {}
+    for total in range(n, 2 * g - 1 + n, 2):
+        for mu in odd_partitions(total):
+            if len(mu) != n:
+                continue
+            value = Fraction(0)
+            for js in _int_partitions((2 * g - 2 + n - total) // 2):
+                shift = Fraction(1)
+                for j in set(js):
+                    shift *= Fraction(-b.get(j, 0)) ** js.count(j) / factorial(js.count(j))
+                if shift:
+                    value += shift * table.value(g, mu + tuple(2 * j + 1 for j in js))
+            if value:
+                law[mu] = value
+    return law
+
+
+def _check_bessel_family(b, chi_max):
+    # both directions at once: every entry the engine keeps is the law's,
+    # and every nonzero value of the law is kept
+    germ = {-1: 1, **{2 * k - 1: c for k, c in b.items()}}
+    engine = CorrelationEngine(SpectralCurve(germ, "bessel-family"))
+    table = CorrelatorTable()
+    entries = 0
+    for g, n in stable_pairs(chi_max):
+        got = symmetric_table(engine.omega(g, n))
+        assert got == _bessel_family_law(table, b, g, n), (b, g, n)
+        entries += len(got)
+    return entries
+
+
+@pytest.mark.parametrize(
+    "b, chi_max, entries",
+    [
+        ({1: 1}, 10, 87),
+        ({1: Fraction(3, 7), 2: Fraction(-5, 11)}, 9, 64),
+        ({3: Fraction(2, 3)}, 9, 36),
+    ],
+)
+def test_bessel_family_is_bessel_at_shifted_times(b, chi_max, entries):
+    # y = 1/z + sum_k b_k z^(2k - 1) is the Bessel curve with p_(2k+1)
+    # shifted by -b_k, fixed in advance rather than fitted: a truncated 1/D
+    # is itself a time shift, so fitted shifts would not see one
+    assert _check_bessel_family(b, chi_max) == entries
+
+
+@PROPERTY
+@given(
+    st.dictionaries(
+        st.integers(1, 3),
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5)),
+        min_size=1,
+        max_size=3,
+    ).filter(lambda b: any(b.values())),
+    st.integers(1, 6),
+)
+def test_drawn_bessel_family_germs_follow_the_law(b, chi_max):
+    _check_bessel_family(b, chi_max)
+
+
+@pytest.mark.parametrize("germ, chi_max", [({-1: 1}, 10), ({1: 1}, 6)])
+def test_scaling_y_scales_omega(germ, chi_max):
+    # y -> c y multiplies omega_{g,n} by c^(2 - 2g - n), entry by entry
+    c = Fraction(-5, 3)
+    plain = CorrelationEngine(SpectralCurve(germ, "plain"))
+    scaled = CorrelationEngine(SpectralCurve({k: c * v for k, v in germ.items()}, "scaled"))
+    for g, n in stable_pairs(chi_max):
+        factor = c ** (2 - 2 * g - n)
+        expected = {key: factor * v for key, v in plain.omega(g, n).coeffs.items()}
+        assert scaled.omega(g, n).coeffs == expected, (germ, g, n)
