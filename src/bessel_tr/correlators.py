@@ -11,7 +11,8 @@ evaluates the recursion
 seeded by C(1; 1) = 1/8; genus zero is empty, as n parts cannot sum to n - 2.
 The quadratic sum runs over sub-multisets `left` of `rest`, not subsets: a
 split taking k of the c parts equal to v stands for comb(c, k) subsets and
-is weighted by the product of those binomials. The support law forces both
+is weighted by the product of those binomials, W(rest) / (W(left) W(right))
+with W the `multiplicity_weight`. The support law forces both
 genera, 2*g1 = a + sum(left) + 1 - |left| and g2 = g - g1, and each is at
 least 1 because every part is; no genus is summed over. Each step sums
 integers and builds one `Fraction`, the memo entry.
@@ -25,13 +26,22 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm, prod
+from math import lcm
 from operator import neg
 
 
 def canonical_parts(parts) -> tuple[int, ...]:
     """Sorted-descending tuple; the canonical memo key."""
     return tuple(sorted(parts, reverse=True))
+
+
+def multiplicity_weight(parts: tuple[int, ...]) -> int:
+    """W = prod mult! of a sorted parts tuple, which has len(parts)! / W orderings."""
+    weight = run = 1
+    for a, b in zip(parts, parts[1:]):
+        run = run + 1 if a == b else 1
+        weight *= run
+    return weight
 
 
 def _insert(v: int, parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -115,11 +125,12 @@ class CorrelatorTable:
         splits = self._split_memo.get(rest)
         if splits is None:
             groups = sorted(Counter(rest).items(), reverse=True)
+            w_rest = multiplicity_weight(rest)
             splits = []
             for taken in product(*(range(c + 1) for _, c in groups)):
                 left = tuple(v for (v, _), k in zip(groups, taken) for _ in range(k))
                 right = tuple(v for (v, c), k in zip(groups, taken) for _ in range(c - k))
-                weight = prod(comb(c, k) for (_, c), k in zip(groups, taken))
+                weight = w_rest // (multiplicity_weight(left) * multiplicity_weight(right))
                 splits.append((weight, left, right, sum(left) + 1 - len(left)))
             self._split_memo[rest] = splits
         return splits

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, gcd, lcm, perm, prod
+from math import comb, gcd, lcm, perm, prod
 
-from .correlators import CorrelatorTable, support_keys
+from .correlators import CorrelatorTable, multiplicity_weight, support_keys
 
 Mono = tuple
 
@@ -53,12 +53,6 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
 
 def mono_degree(m: Mono) -> int:
     return sum(i * e for i, e in m)
-
-
-def multiplicity_weight(m: Mono) -> int:
-    """The product of the exponents' factorials: an index tuple sorted to m
-    has n! / multiplicity_weight(m) orderings, n its total exponent."""
-    return prod(factorial(e) for _, e in m)
 
 
 def mono_sort_key(m: Mono):
@@ -387,8 +381,7 @@ def free_energy(table: CorrelatorTable, order: int) -> PSeries:
         u = table.value(g, parts)
         if not u:
             continue
-        key = mono((p, 1) for p in parts)
-        terms[key] = u / multiplicity_weight(key)
+        terms[mono((p, 1) for p in parts)] = u / multiplicity_weight(parts)
     return PSeries(terms, order)
 
 

@@ -34,15 +34,20 @@ is one dot product of the density with the truncated series of 1/D
 (`reciprocal`). D is twice the odd part of y, times z, so the even
 part of y never enters. The densities and dot products are sums of Python
 integers over one denominator per tensor, and each entry is one `Fraction`.
+
+The bracket is even in z, so each factor is expanded once, at z (at -z its
+term of z-exponent e takes the sign (-1)^(e + 1)), and each unordered pair
+of factors is summed once: twice where e1 + e2 is even, not where it is odd.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
+from .correlators import multiplicity_weight
 from .pseries import _over
 
 
@@ -141,8 +146,8 @@ class CorrelationEngine:
         self.curve = curve
         self._den = curve.kernel_denominator
         self._tensors: dict[tuple[int, int], OmegaCoeffs] = {}
-        # (g_i, k, barred, cap for omega_{0,2} else None) -> `_factor_terms`
-        self._factors: dict[tuple, dict] = {}
+        # (g_i, k, cap for omega_{0,2} else None) -> `_factor_terms`
+        self._factors: dict[tuple, tuple] = {}
 
     def omega(self, g: int, n: int) -> OmegaCoeffs:
         if g < 0 or n < 1 or 2 * g - 2 + n <= 0:
@@ -155,19 +160,19 @@ class CorrelationEngine:
     def _compute(self, g: int, n: int) -> OmegaCoeffs:
         cap = self.curve.max_part(g, n) + self.MARGIN
         ext = n - 1
-        # quadratic sum over pairs (g1, I), (g2, J) of sorted externals;
-        # pairs containing omega_{0,1} are excluded before either factor is
-        # expanded (the excluded partner of such a pair is omega_{g,n} itself)
+        # quadratic sum over factor pairs A = (g1, k) and B = (g2, ext - k),
+        # each unordered pair once: the swap maps the exclusion of
+        # omega_{0,1} to itself (its excluded partner is omega_{g,n} itself)
         pairs = []
         for g1 in range(g + 1):
             g2 = g - g1
             for k in range(ext + 1):
-                if (g1 == 0 and k == 0) or (g2 == 0 and k == ext):
+                if (g1 == 0 and k == 0) or (g2 == 0 and k == ext) or (g1, k) > (g2, ext - k):
                     continue
-                den1, f1 = self._factor_terms(g1, k, barred=False, cap=cap)
+                den1, f1 = self._factor_terms(g1, k, cap)
                 if not f1:
                     continue
-                den2, f2 = self._factor_terms(g2, ext - k, barred=True, cap=cap)
+                den2, f2 = self._factor_terms(g2, ext - k, cap)
                 if f2:
                     pairs.append((den1 * den2, f1, f2))
         # omega_{g-1, n+1}(z, -z, E) over its own denominator, 4 for omega_{0,2}
@@ -195,21 +200,29 @@ class CorrelationEngine:
                 slot[e] = slot.get(e, 0) + (-coeff if nu2 % 2 else coeff)
 
         # a pair lands on E = merge(I, J), times L / den, once for every way
-        # of placing I among the slots of E: prod_v C(m_v(E), m_v(I))
+        # of placing I among the slots of E: W(E) / (W(I) W(J)). J is read at
+        # -z. Distinct factors stand for both orders, which agree where
+        # e1 + e2 is even (e1 and e2 then give one sign) and cancel where odd
+        weights: dict[tuple[int, ...], int] = {}
         for den, f1, f2 in pairs:
-            for left, d1 in f1.items():
-                counts = Counter(left)
-                for right, d2 in f2.items():
-                    weight = L // den
-                    for v in set(right).intersection(counts):
-                        weight *= comb(counts[v] + right.count(v), counts[v])
-                    slot = bracket.setdefault(tuple(sorted(left + right, reverse=True)), {})
-                    for e1, c1 in d1.items():
-                        if weight > 1:
-                            c1 *= weight
-                        for e2, c2 in d2.items():
+            twin = f1 is not f2
+            scale = L // den * (2 if twin else 1)
+            for left, w1, t1 in f1:
+                for right, w2, t2 in f2:
+                    key = tuple(sorted(left + right, reverse=True))
+                    slot = bracket.get(key)
+                    if slot is None:
+                        slot = bracket[key] = {}
+                    w = weights.get(key) or weights.setdefault(key, multiplicity_weight(key))
+                    weight = scale * w // (w1 * w2)
+                    for e1, c1 in t1:
+                        c1 *= weight
+                        for e2, c2 in t2:
                             e = e1 + e2
-                            slot[e] = slot[e] + c1 * c2 if e in slot else c1 * c2
+                            if twin and e % 2:
+                                continue
+                            c = c1 * c2 if e2 % 2 else -c1 * c2
+                            slot[e] = slot[e] + c if e in slot else c
 
         # entry (b - 1; E) is -[z^(-b)] density(z) / D(z) divided by b - 1:
         # a dot product of the density with the truncated 1/D, held over its
@@ -237,31 +250,28 @@ class CorrelationEngine:
                     coeffs[(b - 1,) + key] = Fraction(r, L * den_inv * (b - 1))
         return OmegaCoeffs(g, n, coeffs)
 
-    def _factor_terms(self, g_i: int, k: int, barred: bool, cap: int):
-        """Expansion terms (D, {I: {z-exponent: n}}) of one product factor, each n / D.
+    def _factor_terms(self, g_i: int, k: int, cap: int):
+        """Expansion terms (D, [(I, W(I), ((z-exponent, n), ...)), ...]) of one
+        product factor at z, each n / D.
 
-        I holds the factor's k external indices, sorted descending. The
-        caller has already excluded omega_{0,1} factors. A barred factor is
-        evaluated at -z, which multiplies the term attached to index nu by
-        (-1)^nu. Each factor is built once per engine, omega_{0,2} once per
-        `cap` (its terms depend on it); callers must not mutate the result.
+        I holds the factor's k external indices, sorted descending, and W(I)
+        is its `multiplicity_weight`. The caller has already excluded
+        omega_{0,1} factors. Read at -z, the term of exponent e takes the sign
+        (-1)^(e + 1), which the caller applies. Each factor is built once per
+        engine, omega_{0,2} once per `cap`; callers must not mutate the result.
         """
         omega02 = g_i == 0 and k == 1
-        key = (g_i, k, barred, cap if omega02 else None)
+        key = (g_i, k, cap if omega02 else None)
         out = self._factors.get(key)
         if out is None:
             if omega02:
-                out = 1, {(m,): {m - 1: -1 if barred and m % 2 else 1} for m in range(1, cap + 1)}
+                out = 1, [((m,), 1, ((m - 1, 1),)) for m in range(1, cap + 1)]
             else:
                 den, nums = _over(self.omega(g_i, k + 1).coeffs)
                 terms: dict = {}
                 for idx, u in nums.items():
-                    nu1 = idx[0]
-                    coeff = u * nu1
-                    if barred and nu1 % 2:
-                        coeff = -coeff
-                    terms.setdefault(idx[1:], {})[-(nu1 + 1)] = coeff
-                out = den, terms
+                    terms.setdefault(idx[1:], []).append((-(idx[0] + 1), u * idx[0]))
+                out = den, [(I, multiplicity_weight(I), tuple(t)) for I, t in terms.items()]
             self._factors[key] = out
         return out
 

@@ -18,7 +18,13 @@ from fractions import Fraction
 from math import lcm
 
 from . import operators
-from .correlators import CorrelatorTable, in_support, odd_partitions, support_keys
+from .correlators import (
+    CorrelatorTable,
+    in_support,
+    multiplicity_weight,
+    odd_partitions,
+    support_keys,
+)
 from .operators import evolve, kdv_field, kdv_initial_series, virasoro_apply
 from .pseries import (
     PSeries,
@@ -28,7 +34,6 @@ from .pseries import (
     mono,
     mono_degree,
     mono_json,
-    multiplicity_weight,
 )
 from .spectral import CorrelationEngine, bessel_curve, stable_pairs, symmetric_table
 from .wave import coefficients, principal_specialize, quantum_curve_residual, wave_series
@@ -227,8 +232,7 @@ def sk_identity_report(table: CorrelatorTable, Z: PSeries) -> dict:
     residuals = []
     for d, a in enumerate(coefficients(principal_specialize(Z).log())):
         rhs = sum(
-            table.value((d - len(parts)) // 2 + 1, parts)
-            / multiplicity_weight(mono((p, 1) for p in parts))
+            table.value((d - len(parts)) // 2 + 1, parts) / multiplicity_weight(parts)
             for parts in odd_partitions(d)
         )
         if a != rhs:
