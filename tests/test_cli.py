@@ -297,6 +297,14 @@ _PINNED_DUMPS = {
     ("omega", "--curve", "bessel", "--chi-max", "20"): {
         "json": "3587f5e957642f54099540b6b9eaa4dfd0bc656fd1256374a8e452a1d35b9dfb",
     },
+    # the depths where the engine's polar-part cut and the closed recursion's
+    # split vectors do most of their work
+    ("omega", "--curve", "airy", "--chi-max", "12"): {
+        "json": "65ddb47147a0ec08d727594783ae078de47d54136722696ed3b851f93341a908",
+    },
+    ("u-table", "--chi-max", "30"): {
+        "json": "195f1d671a1c4ee826cb2e47520dedd5c45388e7cd5ed088d18c026f62b23859",
+    },
 }
 
 
