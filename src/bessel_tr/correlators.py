@@ -14,8 +14,11 @@ split taking k of the c parts equal to v stands for comb(c, k) subsets and
 is weighted by the product of those binomials, W(rest) / (W(left) W(right))
 with W the `multiplicity_weight`. The support law forces both
 genera, 2*g1 = a + sum(left) + 1 - |left| and g2 = g - g1, and each is at
-least 1 because every part is; no genus is summed over. Each step sums
-integers and builds one `Fraction`, the memo entry.
+least 1 because every part is; no genus is summed over. So C(g1; a, left)
+over the splits of `rest` is a vector fixed by (a, rest) alone, cached and
+shared by every step that meets it, and the split sum is a dot product of
+the a side with the reversed b side. Each step sums integers and builds
+one `Fraction`, the memo entry.
 
 Also houses the support predicate and the enumeration of the support.
 """
@@ -95,7 +98,9 @@ class CorrelatorTable:
         self._entries: dict[tuple[int, tuple[int, ...]], Fraction] = {
             (1, (1,)): Fraction(1, 8)
         }
-        self._split_memo: dict[tuple[int, ...], list] = {}
+        self._split_memo: dict[tuple[int, ...], tuple] = {}
+        # (a, rest) -> `_split_vector`, a cache over `_entries`
+        self._vectors: dict[tuple[int, tuple[int, ...]], list] = {}
 
     def value(self, g: int, parts) -> Fraction:
         """Coefficient for genus g and the given parts (any order).
@@ -118,22 +123,33 @@ class CorrelatorTable:
         got = self._entries.get((g, parts))
         return self.value(g, parts) if got is None else got
 
-    def _splits(self, rest: tuple[int, ...]) -> list:
-        """(weight, left, right, 2*g1 - alpha) for every sub-multiset `left` of
-        the sorted `rest` and its complement `right`, both sorted; built once
-        per `rest`."""
+    def _splits(self, rest: tuple[int, ...]) -> tuple:
+        """(weights, lefts, shifts) over the sub-multisets `left` of the sorted
+        `rest`, in `product` order, so the complement `right` of split s is
+        split -1 - s. Each left is sorted, its weight is W(rest) / (W(left)
+        W(right)) and its shift is 2*g1 - alpha; built once per `rest`."""
         splits = self._split_memo.get(rest)
         if splits is None:
             groups = sorted(Counter(rest).items(), reverse=True)
-            w_rest = multiplicity_weight(rest)
-            splits = []
-            for taken in product(*(range(c + 1) for _, c in groups)):
-                left = tuple(v for (v, _), k in zip(groups, taken) for _ in range(k))
-                right = tuple(v for (v, c), k in zip(groups, taken) for _ in range(c - k))
-                weight = w_rest // (multiplicity_weight(left) * multiplicity_weight(right))
-                splits.append((weight, left, right, sum(left) + 1 - len(left)))
-            self._split_memo[rest] = splits
+            lefts = [
+                tuple(v for (v, _), k in zip(groups, taken) for _ in range(k))
+                for taken in product(*(range(c + 1) for _, c in groups))
+            ]
+            w, w_rest = [multiplicity_weight(left) for left in lefts], multiplicity_weight(rest)
+            weights = [w_rest // (a * b) for a, b in zip(w, reversed(w))]
+            shifts = [sum(left) + 1 - len(left) for left in lefts]
+            splits = self._split_memo[rest] = weights, lefts, shifts
         return splits
+
+    def _split_vector(self, a: int, rest: tuple[int, ...]) -> list:
+        """(numerator, denominator) of C((a + shift) // 2; a, left) over the
+        splits of `rest`, read through the memo; built once per (a, rest)."""
+        vec = self._vectors.get((a, rest))
+        if vec is None:
+            _, lefts, shifts = self._splits(rest)
+            entries = (self._lookup((a + s) // 2, _insert(a, lt)) for lt, s in zip(lefts, shifts))
+            vec = self._vectors[(a, rest)] = [(c.numerator, c.denominator) for c in entries]
+        return vec
 
     def recursion_step(self, g: int, parts, pivot: int) -> Fraction:
         """One unfolding of the recursion with parts[pivot] distinguished.
@@ -150,7 +166,7 @@ class CorrelatorTable:
         first = parts[pivot]
         rest = canonical_parts(parts[:pivot] + parts[pivot + 1 :])
         lookup = self._lookup
-        splits = self._splits(rest)
+        weights = self._splits(rest)[0]
         # 2 * first * C as integer sums keyed by denominator, put over their
         # lcm once: a product a * b adds a.numerator * b.numerator under the
         # key a.denominator * b.denominator
@@ -166,10 +182,10 @@ class CorrelatorTable:
             ab = alpha * beta * (1 if alpha == beta else 2)
             c = lookup(g - 1, canonical_parts((alpha, beta) + rest))
             acc[c.denominator] += ab * c.numerator
-            for weight, left, right, shift in splits:
-                g1 = (alpha + shift) // 2
-                a = lookup(g1, _insert(alpha, left))
-                b = lookup(g - g1, _insert(beta, right))
-                acc[a.denominator * b.denominator] += ab * weight * a.numerator * b.numerator
+            # split s pairs the alpha side of left_s with the beta side of its
+            # complement, split -1 - s, whose genus the support law forces too
+            vb = reversed(self._split_vector(beta, rest))
+            for w, (an, ad), (bn, bd) in zip(weights, self._split_vector(alpha, rest), vb):
+                acc[ad * bd] += ab * w * an * bn
         den = lcm(*acc)
         return Fraction(sum(n * (den // d) for d, n in acc.items()), 2 * first * den)

@@ -31,9 +31,12 @@ contributes the geometric expansion of -1/D(z) * 1/(z_1 - z) with
 D(z) = [y(z) - y(-z)] z, and reading the z^(-1) coefficient leaves a
 polynomial in 1/z_1 whose coefficients are the entries (b; E). Each of them
 is one dot product of the density with the truncated series of 1/D
-(`reciprocal`). D is twice the odd part of y, times z, so the even
-part of y never enters. The densities and dot products are sums of Python
-integers over one denominator per tensor, and each entry is one `Fraction`.
+(`reciprocal`, built once per engine and truncation). D is twice the odd
+part of y, times z, so the even part of y never enters. Every exponent of
+1/D is at least -v, v the valuation of D, so only the polar part of the
+density, its terms z^e with e <= v - 1, can reach a residue, and only that
+part is formed. The densities and dot products are sums of Python integers
+over one denominator per tensor, and each entry is one `Fraction`.
 
 The bracket is even in z, so each factor is expanded once, at z (at -z its
 term of z-exponent e takes the sign (-1)^(e + 1)), and each unordered pair
@@ -148,6 +151,9 @@ class CorrelationEngine:
         self._tensors: dict[tuple[int, int], OmegaCoeffs] = {}
         # (g_i, k, cap for omega_{0,2} else None) -> `_factor_terms`
         self._factors: dict[tuple, tuple] = {}
+        # max exponent -> (D_inv, [(t, -n), ...]) of the truncated 1/D; E -> W(E)
+        self._inverses: dict[int, tuple] = {}
+        self._weights: dict[tuple[int, ...], int] = {}
 
     def omega(self, g: int, n: int) -> OmegaCoeffs:
         if g < 0 or n < 1 or 2 * g - 2 + n <= 0:
@@ -203,12 +209,17 @@ class CorrelationEngine:
         # of placing I among the slots of E: W(E) / (W(I) W(J)). J is read at
         # -z. Distinct factors stand for both orders, which agree where
         # e1 + e2 is even (e1 and e2 then give one sign) and cancel where odd
-        weights: dict[tuple[int, ...], int] = {}
+        # Only the polar part, e <= e_max = min(D) - 1, can reach a residue.
+        # The factors ascend in least exponent, so the right loop stops at the
+        # first entry that cannot reach e_max
+        e_max, weights = min(self._den) - 1, self._weights
         for den, f1, f2 in pairs:
             twin = f1 is not f2
             scale = L // den * (2 if twin else 1)
-            for left, w1, t1 in f1:
-                for right, w2, t2 in f2:
+            for low1, left, w1, t1 in f1:
+                for low2, right, w2, t2 in f2:
+                    if low1 + low2 > e_max:
+                        break
                     key = tuple(sorted(left + right, reverse=True))
                     slot = bracket.get(key)
                     if slot is None:
@@ -219,7 +230,7 @@ class CorrelationEngine:
                         c1 *= weight
                         for e2, c2 in t2:
                             e = e1 + e2
-                            if twin and e % 2:
+                            if e > e_max or twin and e % 2:
                                 continue
                             c = c1 * c2 if e2 % 2 else -c1 * c2
                             slot[e] = slot[e] + c if e in slot else c
@@ -231,8 +242,11 @@ class CorrelationEngine:
         nonempty = [d for d in bracket.values() if any(d.values())]
         if nonempty:
             e_min = min(min(d) for d in nonempty)
-            den_inv, inv = _over(reciprocal(self._den, max(-1 - e_min, -min(self._den))))
-            neg_inv = [(t, -d) for t, d in inv.items()]
+            top_t = max(-1 - e_min, -min(self._den))
+            if top_t not in self._inverses:
+                den_inv, inv = _over(reciprocal(self._den, top_t))
+                self._inverses[top_t] = den_inv, [(t, -d) for t, d in inv.items()]
+            den_inv, neg_inv = self._inverses[top_t]
             for key, density in bracket.items():
                 residues: dict[int, int] = {}
                 for e, c in density.items():
@@ -251,8 +265,8 @@ class CorrelationEngine:
         return OmegaCoeffs(g, n, coeffs)
 
     def _factor_terms(self, g_i: int, k: int, cap: int):
-        """Expansion terms (D, [(I, W(I), ((z-exponent, n), ...)), ...]) of one
-        product factor at z, each n / D.
+        """Expansion terms (D, [(low, I, W(I), ((z-exponent, n), ...)), ...]) of
+        one product factor at z, each n / D, ascending in the least exponent low.
 
         I holds the factor's k external indices, sorted descending, and W(I)
         is its `multiplicity_weight`. The caller has already excluded
@@ -265,13 +279,15 @@ class CorrelationEngine:
         out = self._factors.get(key)
         if out is None:
             if omega02:
-                out = 1, [((m,), 1, ((m - 1, 1),)) for m in range(1, cap + 1)]
+                out = 1, [(m - 1, (m,), 1, ((m - 1, 1),)) for m in range(1, cap + 1)]
             else:
                 den, nums = _over(self.omega(g_i, k + 1).coeffs)
                 terms: dict = {}
                 for idx, u in nums.items():
                     terms.setdefault(idx[1:], []).append((-(idx[0] + 1), u * idx[0]))
-                out = den, [(I, multiplicity_weight(I), tuple(t)) for I, t in terms.items()]
+                out = den, sorted(
+                    (min(t)[0], I, multiplicity_weight(I), tuple(t)) for I, t in terms.items()
+                )
             self._factors[key] = out
         return out
 
