@@ -100,7 +100,7 @@ class CorrelatorTable:
         }
         self._split_memo: dict[tuple[int, ...], tuple] = {}
         # (a, rest) -> `_split_vector`, a cache over `_entries`
-        self._vectors: dict[tuple[int, tuple[int, ...]], list] = {}
+        self._vectors: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
     def value(self, g: int, parts) -> Fraction:
         """Coefficient for genus g and the given parts (any order).
@@ -131,24 +131,23 @@ class CorrelatorTable:
         splits = self._split_memo.get(rest)
         if splits is None:
             groups = sorted(Counter(rest).items(), reverse=True)
-            lefts = [
-                tuple(v for (v, _), k in zip(groups, taken) for _ in range(k))
-                for taken in product(*(range(c + 1) for _, c in groups))
-            ]
+            taken = product(*(range(c + 1) for _, c in groups))
+            lefts = [tuple(v for (v, _), k in zip(groups, t) for _ in range(k)) for t in taken]
             w, w_rest = [multiplicity_weight(left) for left in lefts], multiplicity_weight(rest)
             weights = [w_rest // (a * b) for a, b in zip(w, reversed(w))]
             shifts = [sum(left) + 1 - len(left) for left in lefts]
             splits = self._split_memo[rest] = weights, lefts, shifts
         return splits
 
-    def _split_vector(self, a: int, rest: tuple[int, ...]) -> list:
-        """(numerator, denominator) of C((a + shift) // 2; a, left) over the
+    def _split_vector(self, a: int, rest: tuple[int, ...]) -> tuple:
+        """(numerators, denominators) of C((a + shift) // 2; a, left) over the
         splits of `rest`, read through the memo; built once per (a, rest)."""
         vec = self._vectors.get((a, rest))
         if vec is None:
             _, lefts, shifts = self._splits(rest)
-            entries = (self._lookup((a + s) // 2, _insert(a, lt)) for lt, s in zip(lefts, shifts))
-            vec = self._vectors[(a, rest)] = [(c.numerator, c.denominator) for c in entries]
+            cs = [self._lookup((a + s) // 2, _insert(a, lt)) for lt, s in zip(lefts, shifts)]
+            vec = tuple(c.numerator for c in cs), tuple(c.denominator for c in cs)
+            self._vectors[(a, rest)] = vec
         return vec
 
     def recursion_step(self, g: int, parts, pivot: int) -> Fraction:
@@ -184,8 +183,9 @@ class CorrelatorTable:
             acc[c.denominator] += ab * c.numerator
             # split s pairs the alpha side of left_s with the beta side of its
             # complement, split -1 - s, whose genus the support law forces too
-            vb = reversed(self._split_vector(beta, rest))
-            for w, (an, ad), (bn, bd) in zip(weights, self._split_vector(alpha, rest), vb):
+            a_nums, a_dens = self._split_vector(alpha, rest)
+            b_nums, b_dens = map(reversed, self._split_vector(beta, rest))
+            for w, an, ad, bn, bd in zip(weights, a_nums, a_dens, b_nums, b_dens):
                 acc[ad * bd] += ab * w * an * bn
         den = lcm(*acc)
         return Fraction(sum(n * (den // d) for d, n in acc.items()), 2 * first * den)

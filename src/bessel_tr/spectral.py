@@ -209,9 +209,8 @@ class CorrelationEngine:
         # of placing I among the slots of E: W(E) / (W(I) W(J)). J is read at
         # -z. Distinct factors stand for both orders, which agree where
         # e1 + e2 is even (e1 and e2 then give one sign) and cancel where odd
-        # Only the polar part, e <= e_max = min(D) - 1, can reach a residue.
-        # The factors ascend in least exponent, so the right loop stops at the
-        # first entry that cannot reach e_max
+        # only the polar part, e <= e_max = v - 1, is formed; the factors ascend
+        # in least exponent, so the right loop stops at the first that cannot reach it
         e_max, weights = min(self._den) - 1, self._weights
         for den, f1, f2 in pairs:
             twin = f1 is not f2
@@ -236,8 +235,8 @@ class CorrelationEngine:
                             slot[e] = slot[e] + c if e in slot else c
 
         # entry (b - 1; E) is -[z^(-b)] density(z) / D(z) divided by b - 1:
-        # a dot product of the density with the truncated 1/D, held over its
-        # own denominator and accumulated for b = 1 .. cap + 1 only
+        # a dot product of the density with the truncated 1/D, built once per
+        # engine and truncation over its own denominator; b = 1 .. cap + 1 only
         coeffs: dict[tuple[int, ...], Fraction] = {}
         nonempty = [d for d in bracket.values() if any(d.values())]
         if nonempty:
