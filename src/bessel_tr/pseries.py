@@ -9,10 +9,9 @@ even-index variables are unrepresentable by construction.
 Monomials are tuples ((index, exponent), ...) sorted by descending index.
 The canonical term order is graded, then lexicographic by descending
 variable index. exp and log run one Euler recursion over degree slices.
-Products, operator application, exp and log loop over integer numerators
-on a common denominator; every coefficient they return is a `Fraction`.
-The commutator `bracket` of two operator tables returns its integer
-numerators with their denominator.
+Products, operator application, the commutator `bracket` of two operator
+tables, exp and log loop over integer numerators on a common denominator;
+every coefficient they return is a `Fraction`.
 
 This is the one series type: the specialised wave function of `wave` is a
 series in p1 alone, standing for w = hbar/z.
@@ -155,10 +154,11 @@ def _contractions(a: Mono, b: Mono):
         )
 
 
-def bracket(x: dict, y: dict, top: int) -> tuple[int, dict]:
+def bracket(x: dict, y: dict, top: int) -> dict:
     """The commutator x o y - y o x of two tables {B: {A: c}}, normal
-    ordered, as (D, {B: {A: n}}) with coefficients n / D, keeping the terms
-    whose derivative monomial has degree <= top.
+    ordered, as the table {B: {A: c}} of its terms whose derivative monomial
+    has degree <= top, with no zero coefficient and no empty row. The sums
+    run over integer numerators on one denominator.
 
     Moving the outer factor's d^B1 past the inner factor's p^A2 by the
     Leibniz rule,
@@ -185,7 +185,9 @@ def bracket(x: dict, y: dict, top: int) -> tuple[int, dict]:
                         for a1, c1 in row1.items():
                             key = mono_mul(a1, a)
                             row[key] = row.get(key, 0) + kc * c1
-    return d_x * d_y, out
+    den = d_x * d_y
+    rows = ((b, {a: Fraction(n, den) for a, n in row.items() if n}) for b, row in out.items())
+    return {b: row for b, row in rows if row}
 
 
 class PSeries:
@@ -356,8 +358,6 @@ class PSeries:
             and self.terms == other.terms
         )
 
-    __hash__ = None
-
     def __repr__(self) -> str:
         if not self.terms:
             return f"PSeries(0; order={self.order})"
@@ -378,10 +378,7 @@ def free_energy(table: CorrelatorTable, order: int) -> PSeries:
         raise ValueError("order must be non-negative")
     terms: dict[Mono, Fraction] = {}
     for g, parts in support_keys(order):
-        u = table.value(g, parts)
-        if not u:
-            continue
-        terms[mono((p, 1) for p in parts)] = u / multiplicity_weight(parts)
+        terms[mono((p, 1) for p in parts)] = table.value(g, parts) / multiplicity_weight(parts)
     return PSeries(terms, order)
 
 

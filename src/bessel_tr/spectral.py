@@ -300,9 +300,7 @@ def stable_pairs(chi_max: int):
     """All (g, n) with 0 < 2g - 2 + n <= chi_max, in increasing complexity."""
     for chi in range(1, chi_max + 1):
         for g in range((chi + 1) // 2 + 1):
-            n = chi + 2 - 2 * g
-            if n >= 1:
-                yield g, n
+            yield g, chi + 2 - 2 * g
 
 
 def symmetric_table(omega: OmegaCoeffs) -> dict[tuple[int, ...], Fraction]:

@@ -15,7 +15,6 @@ pass/fail decision is made here.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from . import operators
 from .correlators import (
@@ -28,7 +27,6 @@ from .correlators import (
 from .operators import evolve, kdv_field, kdv_initial_series, virasoro_apply
 from .pseries import (
     PSeries,
-    _table_over,
     bracket,
     free_energy,
     mono,
@@ -95,21 +93,20 @@ def commutator_report(order: int, m_max: int) -> dict:
     monomial and every image of one (no L_k raises degree), so n stops at
     order // 2.
 
-    The verdict is made on operator tables: for each pair, R = [L_m, L_n] -
-    (m - n) L_{m+n}, with the commutator summed by `bracket` from the L
-    tables sized by order (only the Leibniz terms that contract a
-    derivative, as the others cancel) and kept to derivative degree
-    <= order, must be empty. That cut is exact. A term the sizing drops
-    carries a derivative d/dp_j with j > order, and so does every product
-    term it feeds: a product keeps the inner factor's derivatives, and
-    loses an outer d/dp_j only against a p_j of the inner factor, which an
-    L table holds only beside d/dp_{j+2k}. And a normal-ordered operator
-    kills every monomial of degree <= order iff its coefficients of
-    derivative degree <= order all vanish: on p^B, for B least among the
-    d^B with a coefficient that does not, only d^B itself acts. Only a pair
-    whose R is not empty sweeps the basis, both sides applied to each
-    monomial x as the exact series of order deg x, to list the monomials
-    it fails on.
+    The verdict is made on operator tables: for each pair, the commutator
+    summed by `bracket` from the L tables sized by order (only the Leibniz
+    terms that contract a derivative, as the others cancel) must equal the
+    table (m - n) L_{m+n}, both kept to derivative degree <= order. That
+    cut is exact. A term the sizing drops carries a derivative d/dp_j with
+    j > order, and so does every product term it feeds: a product keeps
+    the inner factor's derivatives, and loses an outer d/dp_j only against
+    a p_j of the inner factor, which an L table holds only beside
+    d/dp_{j+2k}. And a normal-ordered operator kills every monomial of
+    degree <= order iff its coefficients of derivative degree <= order all
+    vanish: on p^B, for B least among the d^B with a coefficient that does
+    not, only d^B itself acts. Only a pair whose tables differ sweeps the
+    basis, both sides applied to each monomial x as the exact series of
+    order deg x, to list the monomials it fails on.
     """
     _refuse_empty_window("commutator", order=order, m_max=m_max)
     n_max = min(m_max, order // 2)
@@ -135,19 +132,16 @@ def commutator_report(order: int, m_max: int) -> dict:
 
 
 def _bracket_closes(m: int, n: int, order: int) -> bool:
-    """Whether L_m L_n - L_n L_m - (m - n) L_{m+n} has no coefficient of
-    derivative degree <= order, on the L tables sized by order, summed as
-    integer numerators over one denominator (only a zero is looked for)."""
+    """Whether bracket(L_m, L_n, order) = (m - n) L_{m+n}, on the L tables
+    sized by order, the right side cut to derivative degree <= order and
+    both sides without zero coefficients or empty rows."""
     table = operators._virasoro_table
-    den_b, residual = bracket(table(m, order), table(n, order), order)
-    den_l, lower = _table_over(table(m + n, order))
-    L = lcm(den_b, den_l)
-    q_b, q_l = L // den_b, (n - m) * (L // den_l)
-    sums = {(b, a): q_b * c for b, row in residual.items() for a, c in row.items()}
-    for b, row in lower.items():
-        for a, c in row.items():
-            sums[b, a] = sums.get((b, a), 0) + q_l * c
-    return not any(c for (b, _), c in sums.items() if mono_degree(b) <= order)
+    rows = (
+        (b, {a: (m - n) * c for a, c in row.items() if c})
+        for b, row in table(m + n, order).items()
+        if mono_degree(b) <= order
+    )
+    return bracket(table(m, order), table(n, order), order) == {b: r for b, r in rows if r}
 
 
 def cutjoin_report(Z: PSeries) -> dict:

@@ -1,11 +1,19 @@
 import hashlib
 import json
+import sys
 from time import perf_counter
 
 import pytest
 
+from bessel_tr import verify
 from bessel_tr.cli import main
-from bessel_tr.spectral import CorrelationEngine, airy_curve, omega_records, stable_pairs
+from bessel_tr.spectral import (
+    ConsistencyError,
+    CorrelationEngine,
+    airy_curve,
+    omega_records,
+    stable_pairs,
+)
 from bessel_tr.verify import TARGETS
 
 
@@ -118,6 +126,37 @@ def test_verify_shared_context_matches_separate_runs(capsys, order, chi_max):
 def test_verify_unknown_target(capsys):
     code = main(["verify", "--targets", "nonsense"])
     assert code == 2
+
+
+def test_verify_without_targets_exits_two(capsys):
+    code = main(["verify", "--targets", ","])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "verify needs at least one target\n"
+
+
+def test_consistency_error_prints_one_json_line(capsys, monkeypatch):
+    def inconsistent(omega):
+        raise ConsistencyError("two live slots disagree")
+
+    monkeypatch.setattr(verify, "symmetric_table", inconsistent)
+    code, out = run_cli(capsys, "verify", "--targets", "oracle-equivalence")
+    assert code == 1
+    assert out.splitlines() == [
+        json.dumps({"error": "internal inconsistency", "detail": "two live slots disagree"})
+    ]
+
+
+def test_stdout_write_error_propagates(monkeypatch):
+    # only an --out path turns an OSError into exit 2
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    with pytest.raises(OSError):
+        main(["wave", "--order", "3"])
 
 
 def test_invalid_flags_exit_two():

@@ -168,3 +168,10 @@ def test_support_keys_ordering_and_content():
     for g, parts in keys:
         assert in_support(g, parts)
         assert 2 * g - 2 + len(parts) <= 3
+
+
+def test_every_support_value_through_chi_24_is_positive():
+    # the seed and every recursion coefficient are positive, so by induction
+    # no support value is zero and `free_energy` keeps every support key
+    t = CorrelatorTable()
+    assert all(t.value(g, parts) > 0 for g, parts in support_keys(24))

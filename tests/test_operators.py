@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from test_pseries import PROPERTY, sparse_series
@@ -33,6 +34,13 @@ def commutator_holds(m, n, s):
 
 def test_l1_kills_constants():
     assert virasoro_apply(1, PSeries.one(4)).is_zero()
+
+
+def test_negative_indices_are_rejected():
+    with pytest.raises(ValueError):
+        virasoro_apply(-1, PSeries.one(4))
+    with pytest.raises(ValueError):
+        evolve(-1)
 
 
 def test_l0_on_constant_leaves_central_term():
@@ -137,8 +145,11 @@ def test_bracket_of_virasoro_tables_closes_at_order_30():
     # coefficient of derivative degree <= 30 compared exactly: none is left
     for n in range(1, 7):
         for m in range(n):
-            den, nums = bracket(_virasoro_table(m, 30), _virasoro_table(n, 30), 30)
-            diff = {(b, a): Fraction(c, den) for b, row in nums.items() for a, c in row.items()}
+            diff = {
+                (b, a): c
+                for b, row in bracket(_virasoro_table(m, 30), _virasoro_table(n, 30), 30).items()
+                for a, c in row.items()
+            }
             for b, row in _virasoro_table(m + n, 30).items():
                 for a, c in row.items():
                     diff[b, a] = diff.get((b, a), 0) - (m - n) * c

@@ -54,6 +54,22 @@ def test_free_energy_order_zero():
     assert free_energy(CorrelatorTable(), 0).is_zero()
 
 
+def test_free_energy_rejects_a_negative_order():
+    with pytest.raises(ValueError):
+        free_energy(CorrelatorTable(), -1)
+
+
+def test_operator_table_rejects_a_third_derivative():
+    with pytest.raises(ValueError, match="derivative order above 2"):
+        operator_table([(1, [], [(1, 2), (3, 1)])])
+
+
+def test_series_is_unhashable_and_prints_zero():
+    with pytest.raises(TypeError):
+        hash(PSeries.one(0))
+    assert repr(PSeries({}, 3)) == "PSeries(0; order=3)"
+
+
 def test_free_energy_grading():
     # every emitted monomial is a support index: weight = 2g - 2 + n
     F = free_energy(CorrelatorTable(), 8)
@@ -312,8 +328,8 @@ def test_bracket_applies_as_the_commutator(s, x, y):
     # degree <= 20; bracket keeps the derivatives that can act on s
     s = PSeries(s.terms, 64)
     top = max(map(mono_degree, s.terms), default=0)
-    den, nums = bracket(x, y, top)
-    table = {b: {a: Fraction(n, den) for a, n in row.items()} for b, row in nums.items()}
+    table = bracket(x, y, top)
+    assert all(row and all(row.values()) for row in table.values())
     assert apply_any_order(s, table) == s.apply(y).apply(x) - s.apply(x).apply(y)
 
 

@@ -424,3 +424,10 @@ def test_scaling_y_scales_omega(germ, chi_max):
         factor = c ** (2 - 2 * g - n)
         expected = {key: factor * v for key, v in plain.omega(g, n).coeffs.items()}
         assert scaled.omega(g, n).coeffs == expected, (germ, g, n)
+
+
+def test_stable_pairs_through_chi_four():
+    # g <= (chi + 1) // 2 keeps n = chi + 2 - 2g >= 1
+    assert list(stable_pairs(4)) == [
+        (0, 3), (1, 1), (0, 4), (1, 2), (0, 5), (1, 3), (2, 1), (0, 6), (1, 4), (2, 2),
+    ]

@@ -7,10 +7,19 @@ import pytest
 from bessel_tr import operators, verify
 from bessel_tr.correlators import CorrelatorTable, odd_partitions
 from bessel_tr.operators import evolve, virasoro_apply
-from bessel_tr.pseries import PSeries, free_energy, mono, mono_degree, mono_json, partition_function
+from bessel_tr.pseries import (
+    PSeries,
+    free_energy,
+    mono,
+    mono_degree,
+    mono_json,
+    operator_table,
+    partition_function,
+)
 from bessel_tr.verify import (
     TARGETS,
     RunContext,
+    _bracket_closes,
     commutator_report,
     empty_window,
     kdv_report,
@@ -65,6 +74,20 @@ def test_commutator_closes_at_depth(monkeypatch, order, m_max):
 
     monkeypatch.setattr(verify, "virasoro_apply", sweep)
     assert commutator_report(order, m_max)["status"] == "pass"
+
+
+def test_oracle_equivalence_lists_an_engine_entry_off_the_support(monkeypatch):
+    real = verify.symmetric_table
+
+    def with_stray(omega):
+        got = real(omega)
+        return {**got, (3,): Fraction(5)} if (omega.g, omega.n) == (1, 1) else got
+
+    monkeypatch.setattr(verify, "symmetric_table", with_stray)
+    report = oracle_equivalence_report(CorrelatorTable(), 1)
+    assert json.dumps(report["residual_terms"]) == json.dumps(
+        [{"g": 1, "mu": [3], "expected": "0", "got": "5"}]
+    )
 
 
 def test_string_dilaton_through_chi_fourteen():
@@ -234,3 +257,44 @@ def test_each_virasoro_table_can_fail_the_commutator(monkeypatch, k):
         report = commutator_report(9, 4)
         assert report["status"] == "fail", index
         assert json.dumps(report) == json.dumps(sweep_commutator_report(9, 4)), index
+
+
+def padded(table):
+    """`table` with explicit zeros at p9 d/dp1 and p3 d^2/dp1^2, each row
+    made where the table lacks it."""
+    table = {b: dict(row) for b, row in table.items()}
+    table.setdefault(((1, 1),), {})[((9, 1),)] = Fraction(0)
+    table.setdefault(((1, 2),), {})[((3, 1),)] = Fraction(0)
+    return table
+
+
+def cancelling(table):
+    """`table` rebuilt by `operator_table` with two pairs of terms that
+    cancel, at p1 d/dp5 and p7 d/dp1 d/dp3, each row made where the table
+    lacks it."""
+    terms = [(c, a, b) for b, row in table.items() for a, c in row.items()]
+    terms += [(1, [(1, 1)], [(5, 1)]), (-1, [(1, 1)], [(5, 1)])]
+    terms += [(2, [(7, 1)], [(1, 1), (3, 1)]), (-2, [(7, 1)], [(1, 1), (3, 1)])]
+    return operator_table(terms)
+
+
+@pytest.mark.parametrize("rebuild", [padded, cancelling])
+def test_zero_entries_do_not_send_a_pair_to_the_sweep(monkeypatch, rebuild):
+    # an L table whose zero coefficients are explicit is the same operator:
+    # every pair must close on the tables, and a corrupted one still fails
+    # row for row as the full monomial sweep lists it
+    original = operators._virasoro_table
+    monkeypatch.setattr(operators, "_virasoro_table", lambda m, top: rebuild(original(m, top)))
+    assert any(0 in row.values() for row in operators._virasoro_table(1, 12).values())
+    assert all(_bracket_closes(m, n, 12) for n in range(1, 7) for m in range(n))
+
+    def corrupted(m, top):
+        table = rebuild(original(m, top))
+        if m == 3:
+            table[((7, 1),)][()] += Fraction(1, 3)
+        return table
+
+    monkeypatch.setattr(operators, "_virasoro_table", corrupted)
+    report = commutator_report(9, 4)
+    assert report["status"] == "fail"
+    assert json.dumps(report) == json.dumps(sweep_commutator_report(9, 4))

@@ -135,3 +135,8 @@ def test_double_factorial_values():
 def test_double_factorial_rejects_below_minus_one():
     with pytest.raises(ValueError):
         double_factorial(-2)
+
+
+def test_quantum_curve_residual_needs_order_one():
+    with pytest.raises(ValueError):
+        quantum_curve_residual(W(1))
