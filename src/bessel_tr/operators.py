@@ -42,9 +42,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import gcd
 
-from .pseries import PSeries, operator_table
+from .pseries import PSeries, _apply_nums, _rows, operator_table
 
 
 @cache
@@ -89,15 +89,18 @@ def cut_and_join(series: PSeries) -> PSeries:
 
 def evolve(order: int) -> PSeries:
     """The flow sum_{k <= order} M^k 1 / k!; M raises degree by one, so the
-    k-th summand is exactly the degree-k slice and the sum is their union."""
+    k-th summand is exactly the degree-k slice and the sum is their union.
+    Each M^k 1 / k! is integers over one denominator, reduced by their gcd."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    power = PSeries.one(order)
-    terms = dict(power.terms)
+    d_m, rows = _rows(_cut_and_join_table(order))
+    den, power, terms = 1, {(): 1}, {(): Fraction(1)}
     for k in range(1, order + 1):
-        power = cut_and_join(power)
-        scale = Fraction(1, factorial(k))
-        terms.update((m, c * scale) for m, c in power.terms.items())
+        power = _apply_nums(power, rows)
+        den *= d_m * k
+        g = gcd(den, *power.values())
+        den, power = den // g, {m: n // g for m, n in power.items() if n}
+        terms.update((m, Fraction(n, den)) for m, n in power.items())
     return PSeries(terms, order)
 
 

@@ -6,12 +6,13 @@ higher weighted degree. The grading doubles as the hbar-exponent of every
 term of the free energy and partition function, so hbar is never stored;
 even-index variables are unrepresentable by construction.
 
-Monomials are tuples ((index, exponent), ...) sorted by descending index.
-The canonical term order is graded, then lexicographic by descending
-variable index. exp and log run one Euler recursion over degree slices.
-Products, operator application, the commutator `bracket` of two operator
-tables, exp and log loop over integer numerators on a common denominator;
-every coefficient they return is a `Fraction`.
+Monomials are tuples ((index, exponent), ...) sorted by descending index,
+so a product of two is one merge. The canonical term order is graded, then
+lexicographic by descending variable index. exp and log run one Euler
+recursion over degree slices. Products, operator application (one kernel
+that visits only the table rows acting on a term), the commutator `bracket`
+of two operator tables, exp and log loop over integer numerators on a
+common denominator; every coefficient they return is a `Fraction`.
 
 This is the one series type: the specialised wave function of `wave` is a
 series in p1 alone, standing for w = hbar/z.
@@ -44,10 +45,19 @@ def mono(pairs) -> Mono:
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    merged = dict(a)
-    for i, e in b:
-        merged[i] = merged.get(i, 0) + e
-    return tuple(sorted(merged.items(), reverse=True))
+    """The product of two monomials: one merge of their descending pairs."""
+    if not (a and b):
+        return a or b
+    out, x, n = [], 0, len(a)
+    for v, e in b:
+        while x < n and a[x][0] > v:
+            out.append(a[x])
+            x += 1
+        if x < n and a[x][0] == v:
+            e += a[x][1]
+            x += 1
+        out.append((v, e))
+    return (*out, *a[x:])
 
 
 def mono_degree(m: Mono) -> int:
@@ -105,18 +115,44 @@ def _lowered(m: Mono, x: int) -> Mono:
     return m[:x] + ((v, e - 1),) + m[x + 1 :] if e > 1 else m[:x] + m[x + 1 :]
 
 
-def _low_divisors(m: Mono):
-    """(B, k, m / B) for every divisor B of m of total exponent <= 2, where
-    d^B p^m = k p^(m / B): k is the product of falling factorials."""
-    yield (), 1, m
-    for x, (v, e) in enumerate(m):
-        once = _lowered(m, x)
-        yield ((v, 1),), e, once
-        if e > 1:
-            yield ((v, 2),), e * (e - 1), _lowered(once, x)
-        for y in range(x + 1, len(m)):
-            w, f = m[y]
-            yield ((v, 1), (w, 1)), e * f, _lowered(_lowered(m, y), x)
+def _rows(table: dict) -> tuple[int, tuple]:
+    """(D, (const, single, pairs)) of a table {B: {A: n / D}}, rows as
+    ((A, n), ...): B = 1, d_v and d_v^2 at (v, 1) and (v, 2), d_v d_w at [v][w]."""
+    D, nums = _table_over(table)
+    const, single, pairs = (), {}, {}
+    for b, row in nums.items():
+        row = tuple(row.items())
+        if len(b) == 2:
+            pairs.setdefault(b[0][0], {})[b[1][0]] = row
+        elif b:
+            single[b[0]] = row
+        else:
+            const = row
+    return D, (const, single, pairs)
+
+
+def _apply_nums(nums: dict, rows: tuple) -> dict:
+    """The operator of `_rows` on {m: n} over both denominators, zero sums
+    kept; m is lowered only by the rows d_v, d_v^2, d_v d_w that act on it."""
+    const, single, pairs = rows
+    out: dict[Mono, int] = {}
+    for m, c in nums.items():
+        hits = [(m, c, const)]
+        for x, (v, e) in enumerate(m):
+            if (v, 1) in single:
+                hits.append((_lowered(m, x), c * e, single[v, 1]))
+            if e > 1 and (v, 2) in single:
+                hits.append((_lowered(_lowered(m, x), x), c * e * (e - 1), single[v, 2]))
+            by_w = pairs.get(v)
+            for y in range(x + 1, len(m)) if by_w else ():
+                w, f = m[y]
+                if w in by_w:
+                    hits.append((_lowered(_lowered(m, y), x), c * e * f, by_w[w]))
+        for rest, cf, row in hits:
+            for a, q in row:
+                key = mono_mul(rest, a)
+                out[key] = out.get(key, 0) + cf * q
+    return out
 
 
 def operator_table(terms) -> dict:
@@ -245,22 +281,12 @@ class PSeries:
 
     def apply(self, table: dict) -> "PSeries":
         """Apply the normal-ordered operator sum_B (sum_A c p^A) d^B, derivatives
-        first, given as the table {B: {A: c}} of `operator_table`.
-
-        Each term looks up only its divisors B of total exponent <= 2 (1, p_v,
-        p_v^2, p_v p_w), so its cost grows with the variables present, not
-        with the table size. The truncation order is kept."""
+        first, given as the table {B: {A: c}} of `operator_table`, through the
+        kernel `_apply_nums`: a term's cost grows with the rows that act on
+        it, not with the table size. The truncation order is kept."""
         d_self, nums = _over(self.terms)
-        d_table, table = _table_over(table)
-        out: dict[Mono, int] = {}
-        for m, c in nums.items():
-            for b, fac, rest in _low_divisors(m):
-                row = table.get(b)
-                if row:
-                    cf = c * fac
-                    for a, q in row.items():
-                        key = mono_mul(rest, a) if a else rest
-                        out[key] = out.get(key, 0) + cf * q
+        d_table, rows = _rows(table)
+        out = _apply_nums(nums, rows)
         return PSeries({m: Fraction(n, d_self * d_table) for m, n in out.items() if n}, self.order)
 
     def __add__(self, other: "PSeries") -> "PSeries":
@@ -269,11 +295,11 @@ class PSeries:
             out[m] = out.get(m, Fraction(0)) + c
         return PSeries(out, min(self.order, other.order))
 
-    def __neg__(self) -> "PSeries":
-        return PSeries({m: -c for m, c in self.terms.items()}, self.order)
-
     def __sub__(self, other: "PSeries") -> "PSeries":
-        return self + (-other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out[m] - c if m in out else -c
+        return PSeries(out, min(self.order, other.order))
 
     def __mul__(self, other):
         if not isinstance(other, PSeries):

@@ -174,7 +174,8 @@ def test_evolve_small_orders():
 
 def test_evolve_matches_exponential_pipeline():
     t = CorrelatorTable()
-    for order in (2, 5, 6, 7, 10):
+    # order 24 takes the integer powers, each reduced by a gcd, to depth
+    for order in (2, 5, 6, 7, 10, 24):
         assert evolve(order) == partition_function(t, order), order
 
 

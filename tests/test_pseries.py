@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bessel_tr.correlators import CorrelatorTable, in_support, odd_partitions, support_keys
+from bessel_tr.operators import _virasoro_table
 from bessel_tr.pseries import (
     PSeries,
     bracket,
@@ -359,8 +360,44 @@ def test_series_algebra_with_wide_denominators(a, b, c):
 
 @PROPERTY
 @given(sparse_series(denominators=WIDE), small_tables(denominators=WIDE))
+# d_1 and d_1^2 rows on one variable, a d_3 d_1 row, a constant row and a
+# d_7 row for a variable the series lacks, on p1^2 p3: each row is looked up
+# under its own derivative, not under its variable alone
+@example(
+    PSeries({M((3, 1), (1, 2)): Fraction(3, 2**40), M((1, 3)): 7, M((5, 1)): Fraction(-1, 11)}, 9),
+    operator_table(
+        [
+            (Fraction(1, 3), [], [(1, 1)]),
+            (2, [(3, 1)], [(1, 2)]),
+            (Fraction(5, 7), [(1, 1)], [(3, 1), (1, 1)]),
+            (3, [(5, 1)], []),
+            (-1, [(1, 1)], [(7, 1)]),
+        ]
+    ),
+)
 def test_apply_with_wide_denominators(s, table):
     assert s.apply(table) == apply_any_order(s, table)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_virasoro_tables_apply_as_any_order(m):
+    # L_m with m odd holds the row d_m^2 beside d_m, and L_2, L_3 hold
+    # d_v d_w rows; Z at order 12 holds p1^2 p3, p3^2 p5 and the like
+    Z = partition_function(CorrelatorTable(), 12)
+    table = _virasoro_table(m, 12)
+    assert Z.apply(table) == apply_any_order(Z, table)
+
+
+# a monomial over p1 .. p9 with exponents <= 3, possibly empty
+MONOMIALS = st.lists(st.tuples(st.sampled_from((1, 3, 5, 7, 9)), st.integers(1, 3))).map(mono)
+
+
+@PROPERTY
+@given(MONOMIALS, MONOMIALS)
+@example((), ())
+@example(M((5, 1), (1, 2)), M((5, 2), (3, 1), (1, 1)))
+def test_mono_mul_merges_as_mono(a, b):
+    assert mono_mul(a, b) == mono(list(a) + list(b))
 
 
 def test_bessel_denominators_are_powers_of_two():

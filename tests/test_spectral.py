@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_pseries import PROPERTY
 
+from bessel_tr import spectral
 from bessel_tr.correlators import CorrelatorTable, in_support, odd_partitions
 from bessel_tr.spectral import (
     ConsistencyError,
@@ -337,6 +338,16 @@ def test_inverse_of_zero_rejected():
         reciprocal(cancelled, 3)
     with pytest.raises(ZeroDivisionError):
         reciprocal({}, 3)
+
+
+def test_a_residue_left_in_the_live_slot_raises(monkeypatch):
+    # a z^1 term added to the truncated 1/D meets omega_{1,1}'s density
+    # -z^-2 / 4 at z^-1, a residue at b = 1, which a true 1/D never leaves
+    real = spectral.reciprocal
+    monkeypatch.setattr(spectral, "reciprocal", lambda coeffs, top: {**real(coeffs, top), 1: 1})
+    message = r"^\(1,1\): residue left a simple pole in the live slot$"
+    with pytest.raises(ConsistencyError, match=message):
+        CorrelationEngine(bessel_curve()).omega(1, 1)
 
 
 def _int_partitions(total, largest=None):
