@@ -6,8 +6,9 @@ verification of its integrability structure: Virasoro annihilation, the
 cut-and-join flow, the KdV residual, string/dilaton, and the quantum-curve
 differential equation for the wave function. All arithmetic is exact.
 
-The package root exports what the README's worked example imports; everything
-else is imported from its module (`bessel_tr.spectral`, `bessel_tr.verify`, ...).
+The package root exports what the README's worked example imports, and
+`compute_omega`, which stays because the benchmark's self-test deletes it by
+name; everything else is imported from its module (`bessel_tr.verify`, ...).
 """
 
 from .correlators import CorrelatorTable

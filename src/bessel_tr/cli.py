@@ -152,8 +152,8 @@ def _run_verify(args) -> int:
     if empty:
         print("\n".join(empty), file=sys.stderr)
         return 2
-    context = RunContext()
-    reports = [run_target(t, **params, context=context) for t in targets]
+    run = RunContext(**params)
+    reports = [run_target(t, run) for t in targets]
     rows = (
         (r["check"], r["order"], r["reliable_order"], r["status"], len(r["residual_terms"]))
         for r in reports

@@ -2,8 +2,8 @@
 
 The linear operators are data: normal-ordered tables {d^B: {p^A: c}},
 derivatives first, built once per size by `operator_table` from the
-formulas below (M from the L_m tables) and applied by `PSeries.apply`.
-Three families:
+formulas below (M from the L_m tables) and applied by `PSeries.apply`,
+or by its integer kernel for M's flow in `evolve`. Three families:
 
   * the half-Virasoro operators
 
@@ -80,11 +80,6 @@ def _cut_and_join_table(top: int) -> dict:
         if a or b != ((2 * m + 1, 1),)  # drop the 1/hbar piece d/dp_{2m+1}
     ]
     return operator_table(terms)
-
-
-def cut_and_join(series: PSeries) -> PSeries:
-    """Apply M; every term raises the weighted degree by exactly one."""
-    return series.apply(_cut_and_join_table(series.order))
 
 
 def evolve(order: int) -> PSeries:

@@ -255,10 +255,10 @@ class PSeries:
         return self.terms.get((), Fraction(0))
 
     def truncated(self, order: int) -> "PSeries":
-        """Drop terms of weighted degree above `order`; negative means empty."""
+        """Drop terms of degree above `order`, never raising the order; negative means empty."""
         if order < 0:
             return PSeries({}, 0)
-        return PSeries(self.terms, order)
+        return PSeries(self.terms, min(order, self.order))
 
     def restrict(self, indices) -> "PSeries":
         """Set every variable outside `indices` to zero."""

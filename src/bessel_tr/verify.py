@@ -5,16 +5,19 @@ Each target builds a JSON-ready report
     {"check": name, "order": N, "reliable_order": r,
      "status": "pass" | "fail", "residual_terms": [...]}
 
-listing every offending term (empty on pass). A target whose reliable window
-would be empty is refused with a ValueError, by `run_target` and by each
-report called directly, never reported as a vacuous pass. The operators
-and the series they act on come from `operators`; every window and every
-pass/fail decision is made here.
+listing every offending term (empty on pass); string-dilaton and
+oracle-equivalence give chi_max as both orders. `run_target(name, run)`
+reports one target on a `RunContext`, the one run its targets share. A
+target whose reliable window would be empty is refused with a ValueError,
+by `run_target` and by each report called directly, never reported as a
+vacuous pass. The operators and the series they act on come from
+`operators`; every window and every pass/fail decision is made here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import operators
 from .correlators import (
@@ -38,25 +41,22 @@ from .wave import coefficients, principal_specialize, quantum_curve_residual, wa
 
 
 class RunContext:
-    """What the targets of one verify run share: one correlator table, and
-    the free energy F and partition function Z = exp F per order, each
-    built on first use. Targets only read F and Z; every series operation
-    returns a new series."""
+    """One verify run: its order, chi_max and m_max, the correlator table
+    its targets share, and F and Z = exp F at its order, each built on first
+    use, so a run builds only what its targets read. Targets only read F and
+    Z; every series operation returns a new series."""
 
-    def __init__(self):
+    def __init__(self, *, order: int, chi_max: int, m_max: int):
+        self.order, self.chi_max, self.m_max = order, chi_max, m_max
         self.table = CorrelatorTable()
-        self._free_energy: dict[int, PSeries] = {}
-        self._partition: dict[int, PSeries] = {}
 
-    def free_energy(self, order: int) -> PSeries:
-        if order not in self._free_energy:
-            self._free_energy[order] = free_energy(self.table, order)
-        return self._free_energy[order]
+    @cached_property
+    def F(self) -> PSeries:
+        return free_energy(self.table, self.order)
 
-    def partition(self, order: int) -> PSeries:
-        if order not in self._partition:
-            self._partition[order] = self.free_energy(order).exp()
-        return self._partition[order]
+    @cached_property
+    def Z(self) -> PSeries:
+        return self.F.exp()
 
 
 def _report(check: str, order: int, reliable: int, residuals: list) -> dict:
@@ -240,26 +240,19 @@ def sk_identity_report(table: CorrelatorTable, Z: PSeries) -> dict:
 
 
 # name -> (the least value of each parameter at which the target checks
-# anything, below which its reliable window is empty; its report function,
-# called with (context, order, chi_max, m_max))
+# anything, below which its reliable window is empty; its report on a run)
 _TARGETS = {
-    "virasoro": (
-        {"order": 1, "m_max": 0},
-        lambda ctx, o, c, m: virasoro_report(ctx.partition(o), m),
-    ),
-    "commutator": ({"order": 2, "m_max": 1}, lambda ctx, o, c, m: commutator_report(o, m)),
-    "cutjoin": ({"order": 0}, lambda ctx, o, c, m: cutjoin_report(ctx.partition(o))),
-    "kdv": ({"order": 5}, lambda ctx, o, c, m: kdv_report(ctx.free_energy(o))),
-    "quantum-curve": ({"order": 1}, lambda ctx, o, c, m: quantum_curve_report(ctx.partition(o))),
-    "string-dilaton": ({"chi_max": 1}, lambda ctx, o, c, m: string_dilaton_report(ctx.table, c)),
+    "virasoro": ({"order": 1, "m_max": 0}, lambda run: virasoro_report(run.Z, run.m_max)),
+    "commutator": ({"order": 2, "m_max": 1}, lambda run: commutator_report(run.order, run.m_max)),
+    "cutjoin": ({"order": 0}, lambda run: cutjoin_report(run.Z)),
+    "kdv": ({"order": 5}, lambda run: kdv_report(run.F)),
+    "quantum-curve": ({"order": 1}, lambda run: quantum_curve_report(run.Z)),
+    "string-dilaton": ({"chi_max": 1}, lambda run: string_dilaton_report(run.table, run.chi_max)),
     "oracle-equivalence": (
         {"chi_max": 1},
-        lambda ctx, o, c, m: oracle_equivalence_report(ctx.table, c),
+        lambda run: oracle_equivalence_report(run.table, run.chi_max),
     ),
-    "sk-identity": (
-        {"order": 0},
-        lambda ctx, o, c, m: sk_identity_report(ctx.table, ctx.partition(o)),
-    ),
+    "sk-identity": ({"order": 0}, lambda run: sk_identity_report(run.table, run.Z)),
 }
 TARGETS = tuple(_TARGETS)
 
@@ -281,12 +274,9 @@ def _refuse_empty_window(name: str, **params: int) -> None:
         raise ValueError(reason)
 
 
-def run_target(
-    name: str, *, order: int, chi_max: int, m_max: int, context: RunContext | None = None
-) -> dict:
-    """Report of target `name`; the targets of one run share `context`
-    (a fresh one when None)."""
+def run_target(name: str, run: RunContext) -> dict:
+    """Report of target `name` on `run`, at the run's parameters."""
     if name not in _TARGETS:
         raise ValueError(f"unknown verify target {name!r}")
-    _refuse_empty_window(name, order=order, chi_max=chi_max, m_max=m_max)
-    return _TARGETS[name][1](context or RunContext(), order, chi_max, m_max)
+    _refuse_empty_window(name, order=run.order, chi_max=run.chi_max, m_max=run.m_max)
+    return _TARGETS[name][1](run)

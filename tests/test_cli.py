@@ -123,6 +123,18 @@ def test_verify_shared_context_matches_separate_runs(capsys, order, chi_max):
         assert len(together.splitlines()) == 8
 
 
+def test_verify_table_targets_build_no_series(capsys, monkeypatch):
+    # string-dilaton and oracle-equivalence read the table alone, so a run of
+    # just those two never builds F (and so never Z)
+    def refuse(*args):
+        raise AssertionError("F was built")
+
+    monkeypatch.setattr(verify, "free_energy", refuse)
+    code, out = run_cli(capsys, "verify", "--targets", "string-dilaton,oracle-equivalence")
+    assert code == 0
+    assert [json.loads(line)["status"] for line in out.splitlines()] == ["pass", "pass"]
+
+
 def test_verify_unknown_target(capsys):
     code = main(["verify", "--targets", "nonsense"])
     assert code == 2

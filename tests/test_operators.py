@@ -8,8 +8,8 @@ from test_pseries import PROPERTY, sparse_series
 
 from bessel_tr.correlators import CorrelatorTable, odd_partitions
 from bessel_tr.operators import (
+    _cut_and_join_table,
     _virasoro_table,
-    cut_and_join,
     evolve,
     kdv_field,
     kdv_initial_series,
@@ -158,13 +158,15 @@ def test_bracket_of_virasoro_tables_closes_at_order_30():
 
 def test_cut_and_join_steps():
     one = PSeries.one(6)
-    step1 = cut_and_join(one)
+    step1 = one.apply(_cut_and_join_table(one.order))
     assert step1 == PSeries({M((1, 1)): Fraction(1, 8)}, 6)
-    step2 = cut_and_join(step1)
+    step2 = step1.apply(_cut_and_join_table(step1.order))
     assert step2 == PSeries({M((1, 2)): Fraction(9, 64)}, 6)
     # hand application of the three pieces to p3
     p3 = PSeries({M((3, 1)): 1}, 6)
-    assert cut_and_join(p3) == PSeries({M((3, 1), (1, 1)): Fraction(49, 8)}, 6)
+    assert p3.apply(_cut_and_join_table(p3.order)) == PSeries(
+        {M((3, 1), (1, 1)): Fraction(49, 8)}, 6
+    )
 
 
 def test_evolve_small_orders():
@@ -253,6 +255,6 @@ def test_operator_tables_match_their_formulas(s, m):
     # second derivatives go through two single-variable steps here, so the
     # square and pair divisors of PSeries.apply are checked by another route
     assert virasoro_apply(m, s) == virasoro_by_formula(m, s)
-    assert cut_and_join(s) == cut_and_join_by_formula(s)
+    assert s.apply(_cut_and_join_table(s.order)) == cut_and_join_by_formula(s)
     if s.order >= 1:
         assert quantum_curve_residual(s) == quantum_curve_by_formula(s)

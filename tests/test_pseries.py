@@ -134,6 +134,14 @@ def test_mul_truncates_at_min_order():
     assert (a * b).is_zero()
 
 
+def test_truncated_never_raises_the_order():
+    s = PSeries({M((1, 1)): 1, M((3, 1)): 2}, 4)
+    assert s.truncated(9).order == 4
+    assert s.truncated(9) == s
+    assert s.truncated(2) == PSeries({M((1, 1)): 1}, 2)
+    assert s.truncated(-1) == PSeries({}, 0)
+
+
 def _random_series(rng, order=8):
     terms = {}
     for _ in range(rng.randint(1, 6)):

@@ -47,7 +47,7 @@ def test_oracle_equivalence_through_chi_sixteen():
 
 def test_quantum_curve_routes_each_see_a_corrupted_z():
     # both routes read Z, and each must report a wrong coefficient of it
-    Z = RunContext().partition(8)
+    Z = RunContext(order=8, chi_max=6, m_max=4).Z
     assert quantum_curve_report(Z)["status"] == "pass"
     target = next(m for m, _ in Z.sorted_terms() if mono_degree(m) == 5)
     terms = dict(Z.terms)
@@ -59,10 +59,8 @@ def test_quantum_curve_routes_each_see_a_corrupted_z():
 
 def test_every_target_passes_at_order_thirty():
     # every identity at depth, on one shared table, F and Z
-    context = RunContext()
-    reports = [
-        run_target(name, order=30, chi_max=24, m_max=4, context=context) for name in TARGETS
-    ]
+    run = RunContext(order=30, chi_max=24, m_max=4)
+    reports = [run_target(name, run) for name in TARGETS]
     assert [(r["check"], r["status"]) for r in reports] == [(name, "pass") for name in TARGETS]
 
 
@@ -105,12 +103,21 @@ def test_kdv_initial_condition_mismatch():
 
 
 def test_run_context_builds_each_series_once():
-    context = RunContext()
-    F = context.free_energy(8)
-    assert context.partition(8) is context.partition(8)
-    assert context.free_energy(8) is F
-    assert context.partition(8) == F.exp()
-    assert F == free_energy(context.table, 8)
+    run = RunContext(order=8, chi_max=6, m_max=4)
+    F = run.F
+    assert run.Z is run.Z
+    assert run.F is F
+    assert run.Z == F.exp()
+    assert F == free_energy(run.table, 8)
+
+
+def test_a_run_builds_only_what_its_targets_read():
+    run = RunContext(order=8, chi_max=6, m_max=4)
+    for name in ("string-dilaton", "oracle-equivalence"):
+        assert run_target(name, run)["status"] == "pass"
+    assert "F" not in vars(run) and "Z" not in vars(run)
+    assert run_target("kdv", run)["status"] == "pass"
+    assert "F" in vars(run) and "Z" not in vars(run)
 
 
 def test_every_target_has_a_window_at_the_defaults():
@@ -120,11 +127,11 @@ def test_every_target_has_a_window_at_the_defaults():
 
 def test_run_target_refuses_an_empty_window():
     with pytest.raises(ValueError, match="checks nothing"):
-        run_target("kdv", order=4, chi_max=6, m_max=4)
+        run_target("kdv", RunContext(order=4, chi_max=6, m_max=4))
     with pytest.raises(ValueError, match="checks nothing"):
-        run_target("commutator", order=6, chi_max=6, m_max=-1)
+        run_target("commutator", RunContext(order=6, chi_max=6, m_max=-1))
     with pytest.raises(ValueError, match="unknown"):
-        run_target("nonsense", order=6, chi_max=6, m_max=4)
+        run_target("nonsense", RunContext(order=6, chi_max=6, m_max=4))
 
 
 @pytest.mark.parametrize(
@@ -156,12 +163,9 @@ def test_failing_reports_are_pinned(monkeypatch):
     # every operator check must report a corrupted input, row for row: a
     # wrong C(1; 1) = 1/4 under virasoro, kdv and cutjoin, and an L_2 whose
     # d/dp5 coefficient is off by one under commutator; the bytes are pinned
-    context = RunContext()
-    context.table._entries[(1, (1,))] = Fraction(1, 4)
-    reports = [
-        run_target(name, order=9, chi_max=6, m_max=3, context=context)
-        for name in ("virasoro", "kdv", "cutjoin")
-    ]
+    run = RunContext(order=9, chi_max=6, m_max=3)
+    run.table._entries[(1, (1,))] = Fraction(1, 4)
+    reports = [run_target(name, run) for name in ("virasoro", "kdv", "cutjoin")]
     original = operators._virasoro_table
 
     def corrupted(m, top):
@@ -190,7 +194,7 @@ def test_failing_table_reports_are_pinned():
     # the bytes are pinned
     t = CorrelatorTable()
     t._entries[(2, (3, 1))] = t.value(2, (3, 1)) * Fraction(101, 100)
-    Z = RunContext().partition(8)
+    Z = RunContext(order=8, chi_max=6, m_max=4).Z
     target = next(m for m, _ in Z.sorted_terms() if mono_degree(m) == 5)
     terms = dict(Z.terms)
     terms[target] *= Fraction(101, 100)
