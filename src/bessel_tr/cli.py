@@ -114,9 +114,8 @@ def _run_u_table(args) -> int:
 
 def _run_omega(args) -> int:
     engine = CorrelationEngine(bessel_curve() if args.curve == "bessel" else airy_curve())
-    records = [
-        r for g, n in stable_pairs(args.chi_max) for r in omega_records(engine.omega(g, n))
-    ]
+    pairs = stable_pairs(args.chi_max)
+    records = [r for g, n in pairs for r in omega_records(g, n, engine.omega(g, n))]
     rows = ((r["g"], r["n"], _mu_str(r["mu"]), r["value"]) for r in records)
     _dump(args, records, "g,n,mu,value", "g={0} n={1} mu={2} {3}", rows)
     return 0

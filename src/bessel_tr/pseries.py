@@ -20,6 +20,7 @@ series in p1 alone, standing for w = hbar/z.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, lcm, perm, prod
@@ -30,10 +31,10 @@ Mono = tuple
 
 
 def mono(pairs) -> Mono:
-    """Build a monomial key from (index, exponent) pairs."""
+    """Build a monomial key from (index, exponent) pairs of integers."""
     merged: dict[int, int] = {}
     for i, e in pairs:
-        i, e = int(i), int(e)
+        i, e = operator.index(i), operator.index(e)
         if e == 0:
             continue
         if i < 1 or i % 2 == 0:
@@ -314,8 +315,6 @@ class PSeries:
             for db in range(order + 1 - da):
                 _mul_add(out, 1, a[da], b[db])
         return PSeries({m: Fraction(n, d_a * d_b) for m, n in out.items() if n}, order)
-
-    __rmul__ = __mul__
 
     def exp(self) -> "PSeries":
         """exp by the Euler recursion over degree slices; requires zero

@@ -2,9 +2,12 @@
 
 Handles rational spectral curves of the shape x = z^2/2 with the single
 branch point z = 0 and local involution z -> -z; the function y is supplied
-as a Laurent germ, an {exponent: coefficient} map. The two curves of
-interest are y = 1/z (Bessel, a simple pole of y at the branch point) and
-y = z (Airy, y analytic there).
+as a Laurent germ, an {exponent: coefficient} map with integer exponents
+(any other key raises TypeError). The two curves of interest are y = 1/z
+(Bessel, a simple pole of y at the branch point) and y = z (Airy, y analytic
+there); `bessel_curve` and `airy_curve` return their germs.
+`CorrelationEngine(y_germ)` maps a germ to its correlation differentials,
+and `omega(g, n)` returns one of them as a plain dict of coefficients.
 
 A correlation differential with 2g - 2 + n > 0 has poles only at the branch
 point, so it is a finite coefficient tensor of the expansion
@@ -45,10 +48,9 @@ of factors is summed once: twice where e1 + e2 is even, not where it is odd.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from functools import cached_property
 from fractions import Fraction
 from math import lcm
+from operator import index
 
 from .correlators import multiplicity_weight
 from .pseries import _over
@@ -84,53 +86,12 @@ def reciprocal(coeffs: dict, max_exponent: int) -> dict:
     return {k - v: c for k, c in enumerate(r) if c}
 
 
-class SpectralCurve:
-    """x = z^2/2 with a display label and y as a Laurent germ {exponent:
-    coefficient}, whose values become Fractions and whose zeros are dropped."""
-
-    def __init__(self, y_germ: dict, label: str):
-        self.y_germ = {int(k): Fraction(c) for k, c in y_germ.items() if c}
-        self.label = label
-
-    @cached_property
-    def kernel_denominator(self) -> dict[int, Fraction]:
-        """D(z) = [y(z) - y(-z)] * z, twice the odd part of y times z. Its
-        valuation, 0 (y has a simple pole) or 2 (y analytic, dy nonzero),
-        classifies the branch point; any other D raises ValueError."""
-        den = {k + 1: 2 * c for k, c in self.y_germ.items() if k % 2}
-        if not den:
-            raise ValueError(f"curve {self.label!r}: y(z) - y(-z) vanishes identically")
-        v = min(den)
-        if v not in (0, 2):
-            raise ValueError(
-                f"curve {self.label!r}: unsupported branch behaviour (valuation {v})"
-            )
-        return den
-
-    def max_part(self, g: int, n: int) -> int:
-        """A priori cap on the expansion indices of omega_{g,n}.
-
-        At a simple pole of y (valuation 0 of D) the pole order of
-        omega_{g,n} is at most 2g; where y is analytic (valuation 2) it is at
-        most 6g - 4 + 2n. The expansion index is the pole order minus one.
-        """
-        bound = 2 * g - 1 if 0 in self.kernel_denominator else 6 * g - 5 + 2 * n
-        return max(bound, 1)
+def bessel_curve() -> dict:
+    return {-1: 1}
 
 
-def bessel_curve() -> SpectralCurve:
-    return SpectralCurve({-1: 1}, "bessel")
-
-
-def airy_curve() -> SpectralCurve:
-    return SpectralCurve({1: 1}, "airy")
-
-
-class OmegaCoeffs(namedtuple("OmegaCoeffs", "g n coeffs")):
-    """Coefficient tensor of one correlation differential, keyed
-    (live index,) + externals sorted descending; see `symmetric_table`."""
-
-    __slots__ = ()
+def airy_curve() -> dict:
+    return {1: 1}
 
 
 class CorrelationEngine:
@@ -145,17 +106,37 @@ class CorrelationEngine:
     # bound shows up as computed zeros instead of being assumed
     MARGIN = 2
 
-    def __init__(self, curve: SpectralCurve):
-        self.curve = curve
-        self._den = curve.kernel_denominator
-        self._tensors: dict[tuple[int, int], OmegaCoeffs] = {}
+    def __init__(self, y_germ: dict):
+        # D(z) = [y(z) - y(-z)] z, twice the odd part of y times z; its
+        # valuation, 0 (y has a simple pole) or 2 (y analytic, dy nonzero),
+        # classifies the branch point, and any other D raises ValueError
+        keys = map(index, y_germ)
+        den = {k + 1: 2 * Fraction(c) for k, c in zip(keys, y_germ.values()) if k % 2 and c}
+        if not den:
+            raise ValueError("y(z) - y(-z) vanishes identically")
+        if min(den) not in (0, 2):
+            raise ValueError(f"unsupported branch behaviour (valuation {min(den)})")
+        self.kernel_denominator = den
+        self._tensors: dict[tuple[int, int], dict] = {}
         # (g_i, k, cap for omega_{0,2} else None) -> `_factor_terms`
         self._factors: dict[tuple, tuple] = {}
         # max exponent -> (D_inv, [(t, -n), ...]) of the truncated 1/D; E -> W(E)
         self._inverses: dict[int, tuple] = {}
         self._weights: dict[tuple[int, ...], int] = {}
 
-    def omega(self, g: int, n: int) -> OmegaCoeffs:
+    def max_part(self, g: int, n: int) -> int:
+        """A priori cap on the expansion indices of omega_{g,n}.
+
+        At a simple pole of y (valuation 0 of D) the pole order of
+        omega_{g,n} is at most 2g; where y is analytic (valuation 2) it is at
+        most 6g - 4 + 2n. The expansion index is the pole order minus one.
+        """
+        bound = 2 * g - 1 if 0 in self.kernel_denominator else 6 * g - 5 + 2 * n
+        return max(bound, 1)
+
+    def omega(self, g: int, n: int) -> dict[tuple[int, ...], Fraction]:
+        """Coefficient tensor of omega_{g,n}, keyed (live index,) + externals
+        sorted descending; see `symmetric_table`."""
         if g < 0 or n < 1 or 2 * g - 2 + n <= 0:
             raise ValueError(f"(g, n) = ({g}, {n}) is not produced by the recursion")
         key = (g, n)
@@ -163,8 +144,8 @@ class CorrelationEngine:
             self._tensors[key] = self._compute(g, n)
         return self._tensors[key]
 
-    def _compute(self, g: int, n: int) -> OmegaCoeffs:
-        cap = self.curve.max_part(g, n) + self.MARGIN
+    def _compute(self, g: int, n: int) -> dict[tuple[int, ...], Fraction]:
+        cap = self.max_part(g, n) + self.MARGIN
         ext = n - 1
         # quadratic sum over factor pairs A = (g1, k) and B = (g2, ext - k),
         # each unordered pair once: the swap maps the exclusion of
@@ -186,7 +167,7 @@ class CorrelationEngine:
         if (g, n) == (1, 1):
             den_top = 4
         elif g >= 1:
-            den_top, top = _over(self.omega(g - 1, n + 1).coeffs)
+            den_top, top = _over(self.omega(g - 1, n + 1))
         L = lcm(den_top, *(den for den, _, _ in pairs))
         # sorted external indices -> L times the z-density of the bracket
         bracket: dict[tuple[int, ...], dict[int, int]] = {}
@@ -211,7 +192,7 @@ class CorrelationEngine:
         # e1 + e2 is even (e1 and e2 then give one sign) and cancel where odd
         # only the polar part, e <= e_max = v - 1, is formed; the factors ascend
         # in least exponent, so the right loop stops at the first that cannot reach it
-        e_max, weights = min(self._den) - 1, self._weights
+        e_max, weights = min(self.kernel_denominator) - 1, self._weights
         for den, f1, f2 in pairs:
             twin = f1 is not f2
             scale = L // den * (2 if twin else 1)
@@ -241,9 +222,9 @@ class CorrelationEngine:
         nonempty = [d for d in bracket.values() if any(d.values())]
         if nonempty:
             e_min = min(min(d) for d in nonempty)
-            top_t = max(-1 - e_min, -min(self._den))
+            top_t = max(-1 - e_min, -min(self.kernel_denominator))
             if top_t not in self._inverses:
-                den_inv, inv = _over(reciprocal(self._den, top_t))
+                den_inv, inv = _over(reciprocal(self.kernel_denominator, top_t))
                 self._inverses[top_t] = den_inv, [(t, -d) for t, d in inv.items()]
             den_inv, neg_inv = self._inverses[top_t]
             for key, density in bracket.items():
@@ -261,7 +242,7 @@ class CorrelationEngine:
                             f"({g},{n}): residue left a simple pole in the live slot"
                         )
                     coeffs[(b - 1,) + key] = Fraction(r, L * den_inv * (b - 1))
-        return OmegaCoeffs(g, n, coeffs)
+        return coeffs
 
     def _factor_terms(self, g_i: int, k: int, cap: int):
         """Expansion terms (D, [(low, I, W(I), ((z-exponent, n), ...)), ...]) of
@@ -280,7 +261,7 @@ class CorrelationEngine:
             if omega02:
                 out = 1, [(m - 1, (m,), 1, ((m - 1, 1),)) for m in range(1, cap + 1)]
             else:
-                den, nums = _over(self.omega(g_i, k + 1).coeffs)
+                den, nums = _over(self.omega(g_i, k + 1))
                 terms: dict = {}
                 for idx, u in nums.items():
                     terms.setdefault(idx[1:], []).append((-(idx[0] + 1), u * idx[0]))
@@ -291,9 +272,9 @@ class CorrelationEngine:
         return out
 
 
-def compute_omega(curve: SpectralCurve, g: int, n: int) -> OmegaCoeffs:
-    """One-shot tensor computation (builds a transient engine)."""
-    return CorrelationEngine(curve).omega(g, n)
+def compute_omega(y_germ: dict, g: int, n: int) -> dict[tuple[int, ...], Fraction]:
+    """The tensor of omega_{g,n} on the curve of `y_germ`, from a transient engine."""
+    return CorrelationEngine(y_germ).omega(g, n)
 
 
 def stable_pairs(chi_max: int):
@@ -303,7 +284,7 @@ def stable_pairs(chi_max: int):
             yield g, chi + 2 - 2 * g
 
 
-def symmetric_table(omega: OmegaCoeffs) -> dict[tuple[int, ...], Fraction]:
+def symmetric_table(coeffs: dict, n: int) -> dict[tuple[int, ...], Fraction]:
     """Canonicalise a tensor to sorted-descending keys.
 
     A multiset with d distinct parts is stored d times, once per distinct
@@ -315,9 +296,9 @@ def symmetric_table(omega: OmegaCoeffs) -> dict[tuple[int, ...], Fraction]:
     """
     out: dict[tuple[int, ...], Fraction] = {}
     found: dict[tuple[int, ...], int] = {}
-    for key, value in omega.coeffs.items():
-        if len(key) != omega.n:
-            raise ConsistencyError(f"key {key} has wrong arity for n={omega.n}")
+    for key, value in coeffs.items():
+        if len(key) != n:
+            raise ConsistencyError(f"key {key} has wrong arity for n={n}")
         if list(key[1:]) != sorted(key[1:], reverse=True):
             raise ConsistencyError(f"key {key} has unsorted externals")
         canon = tuple(sorted(key, reverse=True))
@@ -338,10 +319,8 @@ def symmetric_table(omega: OmegaCoeffs) -> dict[tuple[int, ...], Fraction]:
     return out
 
 
-def omega_records(omega: OmegaCoeffs) -> list[dict]:
-    """Record-stream form: {"g", "n", "mu", "value"} with mu sorted descending."""
-    table = symmetric_table(omega)
-    return [
-        {"g": omega.g, "n": omega.n, "mu": list(mu), "value": str(table[mu])}
-        for mu in sorted(table)
-    ]
+def omega_records(g: int, n: int, coeffs: dict) -> list[dict]:
+    """Record-stream form of the tensor of omega_{g,n}: {"g", "n", "mu",
+    "value"} with mu sorted descending."""
+    table = symmetric_table(coeffs, n)
+    return [{"g": g, "n": n, "mu": list(mu), "value": str(table[mu])} for mu in sorted(table)]

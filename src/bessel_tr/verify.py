@@ -165,6 +165,7 @@ def kdv_report(F: PSeries) -> dict:
 def quantum_curve_report(Z: PSeries) -> dict:
     """The specialised Z against the quantum curve, and against the
     closed-form wave series."""
+    _refuse_empty_window("quantum-curve", order=Z.order)
     psi = principal_specialize(Z)
     routes = (
         ("specialised", quantum_curve_residual(psi)),
@@ -200,7 +201,7 @@ def oracle_equivalence_report(table: CorrelatorTable, chi_max: int) -> dict:
     for g, parts in support_keys(chi_max):
         expected.setdefault((g, len(parts)), {})[parts] = table.value(g, parts)
     for g, n in stable_pairs(chi_max):
-        got = symmetric_table(engine.omega(g, n))
+        got = symmetric_table(engine.omega(g, n), n)
         for mu, value in got.items():
             if not in_support(g, mu):
                 residuals.append(

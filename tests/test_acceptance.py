@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from closed_families import closed_form, family_parts
+from strategies import M
 
 from bessel_tr.correlators import (
     CorrelatorTable,
@@ -14,7 +15,7 @@ from bessel_tr.correlators import (
     odd_partitions,
 )
 from bessel_tr.operators import evolve, kdv_field
-from bessel_tr.pseries import free_energy, mono, partition_function
+from bessel_tr.pseries import free_energy, partition_function
 from bessel_tr.spectral import CorrelationEngine, bessel_curve, stable_pairs, symmetric_table
 from bessel_tr.verify import commutator_report, string_dilaton_report, virasoro_report
 from bessel_tr.wave import principal_specialize, quantum_curve_residual, wave_coeff, wave_series
@@ -23,10 +24,6 @@ from bessel_tr.wave import principal_specialize, quantum_curve_residual, wave_co
 def _criterion(num: int, ok: bool, text: str) -> None:
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {text}")
     assert ok, f"criterion {num} failed: {text}"
-
-
-def M(*pairs):
-    return mono(pairs)
 
 
 # paper-printed expansions up to weighted degree 6: all 13 coefficients of F
@@ -99,7 +96,7 @@ def test_criterion_3_oracle_equivalence():
     table = CorrelatorTable()
     ok = True
     for g, n in stable_pairs(6):
-        got = symmetric_table(engine.omega(g, n))
+        got = symmetric_table(engine.omega(g, n), n)
         for mu, value in got.items():
             ok = ok and table.value(g, mu) == value
         for parts in odd_partitions(2 * g - 2 + n):

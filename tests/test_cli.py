@@ -149,7 +149,7 @@ def test_verify_without_targets_exits_two(capsys):
 
 
 def test_consistency_error_prints_one_json_line(capsys, monkeypatch):
-    def inconsistent(omega):
+    def inconsistent(coeffs, n):
         raise ConsistencyError("two live slots disagree")
 
     monkeypatch.setattr(verify, "symmetric_table", inconsistent)
@@ -297,7 +297,7 @@ def test_empty_dump_writes_an_empty_file(capsys, tmp_path):
 
 def test_omega_dump_matches_its_records(capsys):
     engine = CorrelationEngine(airy_curve())
-    records = [r for g, n in stable_pairs(3) for r in omega_records(engine.omega(g, n))]
+    records = [r for g, n in stable_pairs(3) for r in omega_records(g, n, engine.omega(g, n))]
     _, out = run_cli(capsys, "omega", "--curve", "airy", "--chi-max", "3", "--format", "json")
     assert [json.loads(line) for line in out.splitlines()] == records
     _, out = run_cli(capsys, "omega", "--curve", "airy", "--chi-max", "3", "--format", "text")

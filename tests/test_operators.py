@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from test_pseries import PROPERTY, sparse_series
+from strategies import PROPERTY, M, sparse_series
 
 from bessel_tr.correlators import CorrelatorTable, odd_partitions
 from bessel_tr.operators import (
@@ -18,10 +18,6 @@ from bessel_tr.operators import (
 from bessel_tr.pseries import PSeries, bracket, free_energy, mono, mono_degree, partition_function
 from bessel_tr.verify import kdv_report, virasoro_report
 from bessel_tr.wave import quantum_curve_residual
-
-
-def M(*pairs):
-    return mono(pairs)
 
 
 def commutator_holds(m, n, s):

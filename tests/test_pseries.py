@@ -3,10 +3,11 @@ from fractions import Fraction
 from math import factorial, perm, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
+from strategies import PROPERTY, M, sparse_series
 
-from bessel_tr.correlators import CorrelatorTable, in_support, odd_partitions, support_keys
+from bessel_tr.correlators import CorrelatorTable, in_support, support_keys
 from bessel_tr.operators import _virasoro_table
 from bessel_tr.pseries import (
     PSeries,
@@ -20,10 +21,6 @@ from bessel_tr.pseries import (
     partition_function,
 )
 from bessel_tr.wave import double_factorial, principal_specialize
-
-
-def M(*pairs):
-    return mono(pairs)
 
 
 def test_mono_rejects_even_or_negative():
@@ -192,33 +189,27 @@ def test_coefficient_normalises_every_key():
     assert s.coefficient(((3, 1), (1, 1))) == Fraction(2, 5)
 
 
+def test_coefficient_refuses_a_fractional_index():
+    # int() would read p1.9 as p1
+    s = PSeries({M((1, 1)): Fraction(1, 8)}, 4)
+    with pytest.raises(TypeError):
+        s.coefficient([(1.9, 1)])
+    assert s.coefficient([(True, 1)]) == Fraction(1, 8)
+
+
+def test_coefficient_refuses_a_fractional_exponent():
+    # int() would read p3^0.7 as p3^0, the constant term
+    s = PSeries.one(4)
+    with pytest.raises(TypeError):
+        s.coefficient([(3, 0.7)])
+    assert s.coefficient([(3, False)]) == 1
+
+
 def test_restrict():
     F = free_energy(CorrelatorTable(), 6)
     restricted = F.restrict((1, 3))
     assert restricted.coefficient(M((5, 1), (1, 1))) == 0
     assert restricted.coefficient(M((3, 2))) == Fraction(63, 1024)
-
-
-# property tests draw a fixed example stream (derandomize), so the suite is deterministic
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-
-
-@st.composite
-def sparse_series(draw, constant=0, max_order=12, denominators=st.integers(1, 6)):
-    """A random sparse series of order <= max_order with the given constant
-    term. The order is drawn first, then one to five monomials of degree
-    1 .. order, among them distinct ones of equal degree such as p3 and p1^3,
-    with coefficients over `denominators`."""
-    order = draw(st.integers(0, max_order))
-    terms = {(): Fraction(constant)}
-    candidates = [
-        mono((p, 1) for p in parts) for d in range(1, order + 1) for parts in odd_partitions(d)
-    ]
-    if candidates:
-        monos = st.lists(st.sampled_from(candidates), min_size=1, max_size=5, unique=True)
-        for m in draw(monos):
-            terms[m] = Fraction(draw(st.integers(-6, 6).filter(bool)), draw(denominators))
-    return PSeries(terms, order)
 
 
 def power_sum_exp(F: PSeries) -> PSeries:

@@ -77,9 +77,9 @@ def test_commutator_closes_at_depth(monkeypatch, order, m_max):
 def test_oracle_equivalence_lists_an_engine_entry_off_the_support(monkeypatch):
     real = verify.symmetric_table
 
-    def with_stray(omega):
-        got = real(omega)
-        return {**got, (3,): Fraction(5)} if (omega.g, omega.n) == (1, 1) else got
+    def with_stray(coeffs, n):
+        got = real(coeffs, n)
+        return {**got, (3,): Fraction(5)} if n == 1 else got
 
     monkeypatch.setattr(verify, "symmetric_table", with_stray)
     report = oracle_equivalence_report(CorrelatorTable(), 1)
@@ -143,6 +143,7 @@ def test_run_target_refuses_an_empty_window():
         lambda: kdv_report(PSeries({}, 1)),
         lambda: string_dilaton_report(CorrelatorTable(), 0),
         lambda: oracle_equivalence_report(CorrelatorTable(), 0),
+        lambda: quantum_curve_report(PSeries.one(0)),
     ],
     ids=[
         "commutator",
@@ -151,6 +152,7 @@ def test_run_target_refuses_an_empty_window():
         "kdv",
         "string-dilaton",
         "oracle-equivalence",
+        "quantum-curve",
     ],
 )
 def test_reports_refuse_an_empty_window(report):

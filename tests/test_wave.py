@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from test_pseries import PROPERTY
+from strategies import PROPERTY
 
 from bessel_tr.correlators import CorrelatorTable
 from bessel_tr.pseries import PSeries, free_energy, mono, partition_function
