@@ -30,6 +30,10 @@ from .verify import TARGETS, RunContext, empty_window, run_target
 from .wave import coefficients, principal_specialize
 
 
+# --curve name -> the function that returns the germ of its y
+CURVES = {"bessel": bessel_curve, "airy": airy_curve}
+
+
 def non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -44,30 +48,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, order=False, chi=False):
+    def add_common(p, run, order=False, chi=False, **defaults):
         if order:
             p.add_argument("--order", type=non_negative_int, default=6, help="truncation order N")
         if chi:
             p.add_argument("--chi-max", type=non_negative_int, default=6, help="bound on 2g-2+n")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--out", default=None, help="write output to this file")
+        p.set_defaults(run=run, **defaults)
 
     p = sub.add_parser("u-table", help="dump the coefficient table")
     p.add_argument("--g-max", type=non_negative_int, default=None, help="optional genus bound")
-    add_common(p, chi=True)
+    add_common(p, _run_u_table, chi=True)
 
     p = sub.add_parser("omega", help="dump residue-engine tensors")
-    p.add_argument("--curve", choices=("bessel", "airy"), default="bessel")
-    add_common(p, chi=True)
+    p.add_argument("--curve", choices=tuple(CURVES), default="bessel")
+    add_common(p, _run_omega, chi=True)
 
     p = sub.add_parser("free-energy", help="export the free energy series")
-    add_common(p, order=True)
+    add_common(p, _run_series, order=True, build=free_energy)
 
     p = sub.add_parser("partition", help="export the partition function series")
-    add_common(p, order=True)
+    add_common(p, _run_series, order=True, build=partition_function)
 
     p = sub.add_parser("wave", help="export the specialised wave function")
-    add_common(p, order=True)
+    add_common(p, _run_wave, order=True)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument(
@@ -76,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of: " + ", ".join(TARGETS),
     )
     p.add_argument("--m-max", type=non_negative_int, default=4, help="Virasoro index bound")
-    add_common(p, order=True, chi=True)
+    add_common(p, _run_verify, order=True, chi=True)
 
     return parser
 
@@ -113,7 +118,7 @@ def _run_u_table(args) -> int:
 
 
 def _run_omega(args) -> int:
-    engine = CorrelationEngine(bessel_curve() if args.curve == "bessel" else airy_curve())
+    engine = CorrelationEngine(CURVES[args.curve]())
     pairs = stable_pairs(args.chi_max)
     records = [r for g, n in pairs for r in omega_records(g, n, engine.omega(g, n))]
     rows = ((r["g"], r["n"], _mu_str(r["mu"]), r["value"]) for r in records)
@@ -122,8 +127,7 @@ def _run_omega(args) -> int:
 
 
 def _run_series(args) -> int:
-    build = free_energy if args.command == "free-energy" else partition_function
-    series = build(CorrelatorTable(), args.order)
+    series = args.build(CorrelatorTable(), args.order)
     rows = ((mono_degree(m), mono_str(m), c) for m, c in series.sorted_terms())
     _dump(args, [series.to_json_dict()], "degree,mono,coeff", "deg {0}: {2} * {1}", rows)
     return 0
@@ -162,20 +166,10 @@ def _run_verify(args) -> int:
     return 0 if all(r["status"] == "pass" for r in reports) else 1
 
 
-_RUNNERS = {
-    "u-table": _run_u_table,
-    "omega": _run_omega,
-    "free-energy": _run_series,
-    "partition": _run_series,
-    "wave": _run_wave,
-    "verify": _run_verify,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _RUNNERS[args.command](args)
+        return args.run(args)
     except ConsistencyError as exc:
         print(json.dumps({"error": "internal inconsistency", "detail": str(exc)}))
         return 1

@@ -233,7 +233,7 @@ class PSeries:
     __slots__ = ("order", "terms")
 
     def __init__(self, terms: dict | None = None, order: int = 0):
-        self.order = int(order)
+        self.order = operator.index(order)
         cleaned: dict[Mono, Fraction] = {}
         for m, c in (terms or {}).items():
             c = c if isinstance(c, Fraction) else Fraction(c)
@@ -367,14 +367,12 @@ class PSeries:
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: mono_sort_key(kv[0]))
 
+    def rows(self, **tags) -> list[dict]:
+        """The term rows {**tags, "mono": ..., "coeff": "p/q"}, in `sorted_terms` order."""
+        return [{**tags, "mono": mono_json(m), "coeff": str(c)} for m, c in self.sorted_terms()]
+
     def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "terms": [
-                {"mono": mono_json(m), "coeff": str(c)}
-                for m, c in self.sorted_terms()
-            ],
-        }
+        return {"order": self.order, "terms": self.rows()}
 
     def __eq__(self, other) -> bool:
         return (

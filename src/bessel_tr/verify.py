@@ -69,11 +69,6 @@ def _report(check: str, order: int, reliable: int, residuals: list) -> dict:
     }
 
 
-def _terms(series: PSeries, **tags) -> list[dict]:
-    """Report rows of a residual series, in `sorted_terms` order."""
-    return [{**tags, "mono": mono_json(mo), "coeff": str(c)} for mo, c in series.sorted_terms()]
-
-
 def virasoro_report(Z: PSeries, m_max: int) -> dict:
     """L_m Z = 0 for 0 <= m <= m_max. Every term of L_m Z sits at hbar-level
     (degree + 2m), and Z complete through degree N makes L_m Z complete
@@ -82,7 +77,7 @@ def virasoro_report(Z: PSeries, m_max: int) -> dict:
     _refuse_empty_window("virasoro", order=Z.order, m_max=m_max)
     residuals = []
     for m in range(min(m_max, (Z.order - 1) // 2) + 1):
-        residuals += _terms(virasoro_apply(m, Z).truncated(Z.order - 1 - 2 * m), m=m)
+        residuals += virasoro_apply(m, Z).truncated(Z.order - 1 - 2 * m).rows(m=m)
     return _report("virasoro", Z.order, Z.order - 1, residuals)
 
 
@@ -146,7 +141,7 @@ def _bracket_closes(m: int, n: int, order: int) -> bool:
 
 def cutjoin_report(Z: PSeries) -> dict:
     """The cut-and-join flow against Z = exp F at the same order."""
-    return _report("cutjoin", Z.order, Z.order, _terms(evolve(Z.order) - Z))
+    return _report("cutjoin", Z.order, Z.order, (evolve(Z.order) - Z).rows())
 
 
 def kdv_report(F: PSeries) -> dict:
@@ -158,7 +153,7 @@ def kdv_report(F: PSeries) -> dict:
     u_x = u.partial(1)
     flow = u.partial(3) - u * u_x - u_x.partial(1).partial(1) * Fraction(1, 12)
     initial = u.restrict((1,)).truncated(F.order - 2) - kdv_initial_series(F.order - 2)
-    residuals = _terms(flow.truncated(F.order - 5), part="flow") + _terms(initial, part="initial")
+    residuals = flow.truncated(F.order - 5).rows(part="flow") + initial.rows(part="initial")
     return _report("kdv", F.order, F.order - 5, residuals)
 
 

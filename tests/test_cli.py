@@ -180,6 +180,23 @@ def test_invalid_flags_exit_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, needles",
+    [
+        ([], ["the following arguments are required: command"]),
+        (["omega", "--curve", "x"], ["'bessel'", "'airy'"]),
+    ],
+)
+def test_usage_errors_exit_two(capsys, argv, needles):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    for needle in needles:
+        assert needle in captured.err
+
+
 def test_deterministic_output(capsys):
     _, first = run_cli(capsys, "u-table", "--chi-max", "5", "--format", "csv")
     _, second = run_cli(capsys, "u-table", "--chi-max", "5", "--format", "csv")

@@ -139,6 +139,14 @@ def test_truncated_never_raises_the_order():
     assert s.truncated(-1) == PSeries({}, 0)
 
 
+def test_order_must_be_an_integer():
+    with pytest.raises(TypeError):
+        PSeries({}, 2.7)
+    with pytest.raises(TypeError):
+        PSeries.one(3).truncated(1.5)
+    assert PSeries({}, True).order == 1
+
+
 def _random_series(rng, order=8):
     terms = {}
     for _ in range(rng.randint(1, 6)):
@@ -180,6 +188,17 @@ def test_json_round_trip():
         for t in data["terms"]
     }
     assert PSeries(terms, data["order"]) == F
+
+
+def test_rows_put_the_tags_first():
+    s = PSeries({M((3, 1)): Fraction(1, 2), M((1, 3)): -2}, 3)
+    rows = s.rows(m=1)
+    assert rows == [
+        {"m": 1, "mono": {"3": 1}, "coeff": "1/2"},
+        {"m": 1, "mono": {"1": 3}, "coeff": "-2"},
+    ]
+    assert [list(row) for row in rows] == [["m", "mono", "coeff"]] * 2
+    assert s.to_json_dict()["terms"] == s.rows()
 
 
 def test_coefficient_normalises_every_key():
