@@ -1,8 +1,9 @@
 """Closed recursion for the Bessel-curve correlator coefficients.
 
 The coefficients are indexed by a genus g and a tuple of positive odd
-integers; they vanish unless the parts sum to 2g - 2 + n. A memoised table
-evaluates the recursion
+integers; they vanish unless the parts sum to 2g - 2 + n, so the parts fix
+the genus (`genus`, the one statement of this support law). A memoised
+table evaluates the recursion
 
     mu1 * C(g; mu1, rest) = sum_k (mu1 + mu_k - 1) * C(g; mu1 + mu_k - 1, rest \\ mu_k)
         + 1/2 * sum_{a + b = mu1 - 1, a, b odd} a*b * [ C(g-1; a, b, rest)
@@ -12,13 +13,13 @@ seeded by C(1; 1) = 1/8; genus zero is empty, as n parts cannot sum to n - 2.
 The quadratic sum runs over sub-multisets `left` of `rest`, not subsets: a
 split taking k of the c parts equal to v stands for comb(c, k) subsets and
 is weighted by the product of those binomials, W(rest) / (W(left) W(right))
-with W the `multiplicity_weight`. The support law forces both
-genera, 2*g1 = a + sum(left) + 1 - |left| and g2 = g - g1, and each is at
-least 1 because every part is; no genus is summed over. So C(g1; a, left)
-over the splits of `rest` is a vector fixed by (a, rest) alone, cached and
-shared by every step that meets it, and the split sum is a dot product of
-the a side with the reversed b side. Each step sums integers and builds
-one `Fraction`, the memo entry.
+with W the `multiplicity_weight`. The genus never enters the recursion:
+the memo is keyed by the sorted parts alone, each term's genus is the one
+its parts fix (g1 and g2 are at least 1 because every part is), and no
+genus is summed over. So C(a, left) over the splits of `rest` is a vector
+fixed by (a, rest) alone, cached and shared by every step that meets it,
+and the split sum is a dot product of the a side with the reversed b side.
+Each step sums integers and builds one `Fraction`, the memo entry.
 
 Also houses the support predicate and the enumeration of the support.
 """
@@ -53,15 +54,15 @@ def _insert(v: int, parts: tuple[int, ...]) -> tuple[int, ...]:
     return parts[:i] + (v,) + parts[i:]
 
 
+def genus(parts) -> int:
+    """The support law: the genus g at which the parts sum to 2g - 2 + n."""
+    return (sum(parts) - len(parts)) // 2 + 1
+
+
 def in_support(g: int, parts) -> bool:
-    """True iff all parts are positive odd and sum to 2g - 2 + n."""
+    """True iff there are parts, all positive odd, and g is their `genus`."""
     parts = tuple(parts)
-    n = len(parts)
-    if g < 0 or n < 1:
-        return False
-    if any(p < 1 or p % 2 == 0 for p in parts):
-        return False
-    return sum(parts) == 2 * g - 2 + n
+    return bool(parts) and all(p > 0 and p % 2 == 1 for p in parts) and genus(parts) == g
 
 
 def odd_partitions(total: int, max_part: int | None = None):
@@ -88,16 +89,15 @@ def support_keys(chi_max: int):
         # n odd parts sum to chi only if n = chi mod 2, so every n is on the
         # support; a stable sort keeps odd_partitions' order within each n
         for parts in sorted(odd_partitions(chi), key=len):
-            yield (chi - len(parts)) // 2 + 1, parts
+            yield genus(parts), parts
 
 
 class CorrelatorTable:
     """Memoised evaluator for the correlator coefficients."""
 
     def __init__(self):
-        self._entries: dict[tuple[int, tuple[int, ...]], Fraction] = {
-            (1, (1,)): Fraction(1, 8)
-        }
+        # sorted parts -> coefficient; the parts fix the genus
+        self._entries: dict[tuple[int, ...], Fraction] = {(1,): Fraction(1, 8)}
         self._split_memo: dict[tuple[int, ...], tuple] = {}
         # (a, rest) -> `_split_vector`, a cache over `_entries`
         self._vectors: dict[tuple[int, tuple[int, ...]], tuple] = {}
@@ -111,23 +111,21 @@ class CorrelatorTable:
         parts = canonical_parts(parts)
         if not in_support(g, parts):
             return Fraction(0)
-        key = (g, parts)
-        got = self._entries.get(key)
+        got = self._entries.get(parts)
         if got is None:
-            got = self.recursion_step(g, parts, 0)
-            self._entries[key] = got
+            got = self._entries[parts] = self.recursion_step(g, parts, 0)
         return got
 
-    def _lookup(self, g: int, parts: tuple[int, ...]) -> Fraction:
-        # canonical key on the support: a memo hit skips value's input checks
-        got = self._entries.get((g, parts))
-        return self.value(g, parts) if got is None else got
+    def _lookup(self, parts: tuple[int, ...]) -> Fraction:
+        # canonical parts on the support: a memo hit skips value's input checks
+        got = self._entries.get(parts)
+        return self.value(genus(parts), parts) if got is None else got
 
     def _splits(self, rest: tuple[int, ...]) -> tuple:
-        """(weights, lefts, shifts) over the sub-multisets `left` of the sorted
-        `rest`, in `product` order, so the complement `right` of split s is
-        split -1 - s. Each left is sorted, its weight is W(rest) / (W(left)
-        W(right)) and its shift is 2*g1 - alpha; built once per `rest`."""
+        """(weights, lefts) over the sub-multisets `left` of the sorted `rest`,
+        in `product` order, so the complement `right` of split s is split
+        -1 - s. Each left is sorted and its weight is W(rest) / (W(left)
+        W(right)); built once per `rest`."""
         splits = self._split_memo.get(rest)
         if splits is None:
             groups = sorted(Counter(rest).items(), reverse=True)
@@ -135,17 +133,15 @@ class CorrelatorTable:
             lefts = [tuple(v for (v, _), k in zip(groups, t) for _ in range(k)) for t in taken]
             w, w_rest = [multiplicity_weight(left) for left in lefts], multiplicity_weight(rest)
             weights = [w_rest // (a * b) for a, b in zip(w, reversed(w))]
-            shifts = [sum(left) + 1 - len(left) for left in lefts]
-            splits = self._split_memo[rest] = weights, lefts, shifts
+            splits = self._split_memo[rest] = weights, lefts
         return splits
 
     def _split_vector(self, a: int, rest: tuple[int, ...]) -> tuple:
-        """(numerators, denominators) of C((a + shift) // 2; a, left) over the
-        splits of `rest`, read through the memo; built once per (a, rest)."""
+        """(numerators, denominators) of C(a, left) over the splits of `rest`,
+        read through the memo; built once per (a, rest)."""
         vec = self._vectors.get((a, rest))
         if vec is None:
-            _, lefts, shifts = self._splits(rest)
-            cs = [self._lookup((a + s) // 2, _insert(a, lt)) for lt, s in zip(lefts, shifts)]
+            cs = [self._lookup(_insert(a, left)) for left in self._splits(rest)[1]]
             vec = tuple(c.numerator for c in cs), tuple(c.denominator for c in cs)
             self._vectors[(a, rest)] = vec
         return vec
@@ -162,6 +158,7 @@ class CorrelatorTable:
         parts = tuple(parts)
         if not in_support(g, parts):
             raise ValueError(f"index off the support: genus {g}, parts {parts}")
+        pivot = range(len(parts))[pivot]
         first = parts[pivot]
         rest = canonical_parts(parts[:pivot] + parts[pivot + 1 :])
         lookup = self._lookup
@@ -172,17 +169,17 @@ class CorrelatorTable:
         acc: dict[int, int] = defaultdict(int)
         for k in range(len(rest)):
             merged = first + rest[k] - 1
-            c = lookup(g, canonical_parts((merged,) + rest[:k] + rest[k + 1 :]))
+            c = lookup(canonical_parts((merged,) + rest[:k] + rest[k + 1 :]))
             acc[c.denominator] += 2 * merged * c.numerator
         # the terms of alpha and of beta agree, with left and right swapped:
         # take alpha <= beta and count alpha < beta twice
         for alpha in range(1, (first - 1) // 2 + 1, 2):
             beta = first - 1 - alpha
             ab = alpha * beta * (1 if alpha == beta else 2)
-            c = lookup(g - 1, canonical_parts((alpha, beta) + rest))
+            c = lookup(canonical_parts((alpha, beta) + rest))
             acc[c.denominator] += ab * c.numerator
             # split s pairs the alpha side of left_s with the beta side of its
-            # complement, split -1 - s, whose genus the support law forces too
+            # complement, split -1 - s
             a_nums, a_dens = self._split_vector(alpha, rest)
             b_nums, b_dens = map(reversed, self._split_vector(beta, rest))
             for w, an, ad, bn, bd in zip(weights, a_nums, a_dens, b_nums, b_dens):

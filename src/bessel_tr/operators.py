@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .pseries import PSeries, _apply_nums, _rows, operator_table
+from .pseries import PSeries, _apply_nums, _rows, mono, operator_table
 
 
 @cache
@@ -101,10 +101,7 @@ def evolve(order: int) -> PSeries:
 
 def kdv_initial_series(order: int) -> PSeries:
     """Series of 1/(8 (1 - x)^2) = sum (k+1) x^k / 8 in x = p1."""
-    return PSeries(
-        {(((1, k),) if k else ()): Fraction(k + 1, 8) for k in range(order + 1)},
-        order,
-    )
+    return PSeries({mono([(1, k)]): Fraction(k + 1, 8) for k in range(order + 1)}, order)
 
 
 def kdv_field(F: PSeries) -> PSeries:

@@ -38,8 +38,12 @@ is one dot product of the density with the truncated series of 1/D
 part of y, times z, so the even part of y never enters. Every exponent of
 1/D is at least -v, v the valuation of D, so only the polar part of the
 density, its terms z^e with e <= v - 1, can reach a residue, and only that
-part is formed. The densities and dot products are sums of Python integers
-over one denominator per tensor, and each entry is one `Fraction`.
+part is formed: omega_{0,2} is expanded only as far as its partner factor
+lets it reach, and no index is capped a priori. The pole-order law (order
+<= 2g at a simple pole of y, <= 6g - 4 + 2n where y is analytic) is thus a
+tested property of the output, not a truncation. The densities and dot
+products are sums of Python integers over one denominator per tensor, and
+each entry is one `Fraction`.
 
 The bracket is even in z, so each factor is expanded once, at z (at -z its
 term of z-exponent e takes the sign (-1)^(e + 1)), and each unordered pair
@@ -102,10 +106,6 @@ class CorrelationEngine:
     being computed.
     """
 
-    # extra expansion indices beyond the classification bound, so that the
-    # bound shows up as computed zeros instead of being assumed
-    MARGIN = 2
-
     def __init__(self, y_germ: dict):
         # D(z) = [y(z) - y(-z)] z, twice the odd part of y times z; its
         # valuation, 0 (y has a simple pole) or 2 (y analytic, dy nonzero),
@@ -118,21 +118,11 @@ class CorrelationEngine:
             raise ValueError(f"unsupported branch behaviour (valuation {min(den)})")
         self.kernel_denominator = den
         self._tensors: dict[tuple[int, int], dict] = {}
-        # (g_i, k, cap for omega_{0,2} else None) -> `_factor_terms`
+        # (g_i, k, reach for omega_{0,2} else None) -> `_factor_terms`
         self._factors: dict[tuple, tuple] = {}
         # max exponent -> (D_inv, [(t, -n), ...]) of the truncated 1/D; E -> W(E)
         self._inverses: dict[int, tuple] = {}
         self._weights: dict[tuple[int, ...], int] = {}
-
-    def max_part(self, g: int, n: int) -> int:
-        """A priori cap on the expansion indices of omega_{g,n}.
-
-        At a simple pole of y (valuation 0 of D) the pole order of
-        omega_{g,n} is at most 2g; where y is analytic (valuation 2) it is at
-        most 6g - 4 + 2n. The expansion index is the pole order minus one.
-        """
-        bound = 2 * g - 1 if 0 in self.kernel_denominator else 6 * g - 5 + 2 * n
-        return max(bound, 1)
 
     def omega(self, g: int, n: int) -> dict[tuple[int, ...], Fraction]:
         """Coefficient tensor of omega_{g,n}, keyed (live index,) + externals
@@ -145,22 +135,24 @@ class CorrelationEngine:
         return self._tensors[key]
 
     def _compute(self, g: int, n: int) -> dict[tuple[int, ...], Fraction]:
-        cap = self.max_part(g, n) + self.MARGIN
         ext = n - 1
         # quadratic sum over factor pairs A = (g1, k) and B = (g2, ext - k),
         # each unordered pair once: the swap maps the exclusion of
-        # omega_{0,1} to itself (its excluded partner is omega_{g,n} itself)
-        pairs = []
+        # omega_{0,1} to itself (its excluded partner is omega_{g,n} itself).
+        # Only the polar part, e <= e_max = v - 1, can reach a residue, so A
+        # is expanded only as far as B's least exponent lets it reach; B is
+        # omega_{0,2} only beside itself (omega_{0,3}), where the reach is e_max
+        e_max, pairs = min(self.kernel_denominator) - 1, []
         for g1 in range(g + 1):
             g2 = g - g1
             for k in range(ext + 1):
                 if (g1 == 0 and k == 0) or (g2 == 0 and k == ext) or (g1, k) > (g2, ext - k):
                     continue
-                den1, f1 = self._factor_terms(g1, k, cap)
-                if not f1:
+                den2, f2 = self._factor_terms(g2, ext - k, e_max)
+                if not f2:
                     continue
-                den2, f2 = self._factor_terms(g2, ext - k, cap)
-                if f2:
+                den1, f1 = self._factor_terms(g1, k, e_max - f2[0][0])
+                if f1:
                     pairs.append((den1 * den2, f1, f2))
         # omega_{g-1, n+1}(z, -z, E) over its own denominator, 4 for omega_{0,2}
         den_top, top = 1, {}
@@ -190,9 +182,9 @@ class CorrelationEngine:
         # of placing I among the slots of E: W(E) / (W(I) W(J)). J is read at
         # -z. Distinct factors stand for both orders, which agree where
         # e1 + e2 is even (e1 and e2 then give one sign) and cancel where odd
-        # only the polar part, e <= e_max = v - 1, is formed; the factors ascend
-        # in least exponent, so the right loop stops at the first that cannot reach it
-        e_max, weights = min(self.kernel_denominator) - 1, self._weights
+        # only the polar part is formed; the factors ascend in least exponent,
+        # so the right loop stops at the first that cannot reach it
+        weights = self._weights
         for den, f1, f2 in pairs:
             twin = f1 is not f2
             scale = L // den * (2 if twin else 1)
@@ -217,7 +209,7 @@ class CorrelationEngine:
 
         # entry (b - 1; E) is -[z^(-b)] density(z) / D(z) divided by b - 1:
         # a dot product of the density with the truncated 1/D, built once per
-        # engine and truncation over its own denominator; b = 1 .. cap + 1 only
+        # engine and truncation over its own denominator; every b > 0 is kept
         coeffs: dict[tuple[int, ...], Fraction] = {}
         nonempty = [d for d in bracket.values() if any(d.values())]
         if nonempty:
@@ -232,7 +224,7 @@ class CorrelationEngine:
                 for e, c in density.items():
                     for t, d in neg_inv:
                         b = -(e + t)
-                        if 0 < b <= cap + 1:
+                        if b > 0:
                             residues[b] = residues[b] + c * d if b in residues else c * d
                 for b, r in residues.items():
                     if not r:
@@ -244,7 +236,7 @@ class CorrelationEngine:
                     coeffs[(b - 1,) + key] = Fraction(r, L * den_inv * (b - 1))
         return coeffs
 
-    def _factor_terms(self, g_i: int, k: int, cap: int):
+    def _factor_terms(self, g_i: int, k: int, reach: int):
         """Expansion terms (D, [(low, I, W(I), ((z-exponent, n), ...)), ...]) of
         one product factor at z, each n / D, ascending in the least exponent low.
 
@@ -252,14 +244,15 @@ class CorrelationEngine:
         is its `multiplicity_weight`. The caller has already excluded
         omega_{0,1} factors. Read at -z, the term of exponent e takes the sign
         (-1)^(e + 1), which the caller applies. Each factor is built once per
-        engine, omega_{0,2} once per `cap`; callers must not mutate the result.
+        engine, omega_{0,2} once per `reach`, through its term z^reach;
+        callers must not mutate the result.
         """
         omega02 = g_i == 0 and k == 1
-        key = (g_i, k, cap if omega02 else None)
+        key = (g_i, k, reach if omega02 else None)
         out = self._factors.get(key)
         if out is None:
             if omega02:
-                out = 1, [(m - 1, (m,), 1, ((m - 1, 1),)) for m in range(1, cap + 1)]
+                out = 1, [(m - 1, (m,), 1, ((m - 1, 1),)) for m in range(1, reach + 2)]
             else:
                 den, nums = _over(self.omega(g_i, k + 1))
                 terms: dict = {}

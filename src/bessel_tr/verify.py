@@ -22,6 +22,7 @@ from functools import cached_property
 from . import operators
 from .correlators import (
     CorrelatorTable,
+    genus,
     in_support,
     multiplicity_weight,
     odd_partitions,
@@ -222,7 +223,7 @@ def sk_identity_report(table: CorrelatorTable, Z: PSeries) -> dict:
     residuals = []
     for d, a in enumerate(coefficients(principal_specialize(Z).log())):
         rhs = sum(
-            table.value((d - len(parts)) // 2 + 1, parts) / multiplicity_weight(parts)
+            table.value(genus(parts), parts) / multiplicity_weight(parts)
             for parts in odd_partitions(d)
         )
         if a != rhs:

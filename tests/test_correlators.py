@@ -35,6 +35,14 @@ def test_off_support_is_zero():
     assert t.value(0, (1, 1)) == 0
     assert t.value(1, (-1,)) == 0
     assert t.value(3, (4, 2)) == 0      # even parts
+    # the memo is keyed by the parts alone: a wrong-genus query must neither
+    # write to nor read from the key of the right genus, in either order
+    t = CorrelatorTable()
+    assert t.value(3, (3, 1)) == 0
+    assert t.value(2, (3, 1)) == Fraction(9, 128)
+    t = CorrelatorTable()
+    assert t.value(2, (3, 1)) == Fraction(9, 128)
+    assert t.value(3, (3, 1)) == 0
 
 
 def test_value_is_order_insensitive():
@@ -109,6 +117,9 @@ def test_support_predicate_examples():
     assert not in_support(1, (2,))
     assert not in_support(-1, (1,))
     assert not in_support(1, ())
+    # a fractional part is not odd, whatever the parts sum to
+    assert not in_support(1, (1.5,))
+    assert not in_support(2, (2.5, 1.5))
 
 
 def test_support_sweep_parts_up_to_nine():
@@ -144,6 +155,14 @@ def test_recursion_step_accepts_unsorted_parts():
     t = CorrelatorTable()
     assert t.recursion_step(3, (1, 3, 1, 3), 1) == t.value(3, (3, 3, 1, 1))
     assert t.recursion_step(3, (1, 3, 1, 3), 0) == t.value(3, (3, 3, 1, 1))
+
+
+def test_recursion_step_counts_a_negative_pivot_from_the_end():
+    t = CorrelatorTable()
+    assert t.recursion_step(2, (3, 1), -1) == t.value(2, (3, 1))
+    assert t.recursion_step(2, (3, 1), -2) == t.value(2, (3, 1))
+    with pytest.raises(IndexError):
+        t.recursion_step(2, (3, 1), 2)
 
 
 def test_recursion_step_rejects_off_support_index():

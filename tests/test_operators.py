@@ -62,7 +62,7 @@ def test_annihilation_at_order_six():
 
 def test_annihilation_detects_corrupted_seed():
     table = CorrelatorTable()
-    table._entries[(1, (1,))] = Fraction(1, 4)
+    table._entries[(1,)] = Fraction(1, 4)
     Z = partition_function(table, 4)
     residual = virasoro_apply(0, Z)
     assert residual.constant_term() == Fraction(-1, 16)

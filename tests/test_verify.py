@@ -95,7 +95,7 @@ def test_string_dilaton_through_chi_fourteen():
 def test_kdv_initial_condition_mismatch():
     # C(1; 1, 1) = 1/8 is the constant term of u; a wrong one breaks u(x, 0)
     table = CorrelatorTable()
-    table._entries[(1, (1, 1))] = Fraction(1, 4)
+    table._entries[(1, 1)] = Fraction(1, 4)
     report = kdv_report(free_energy(table, 7))
     assert report["status"] == "fail"
     initial = [r for r in report["residual_terms"] if r["part"] == "initial"]
@@ -166,7 +166,7 @@ def test_failing_reports_are_pinned(monkeypatch):
     # wrong C(1; 1) = 1/4 under virasoro, kdv and cutjoin, and an L_2 whose
     # d/dp5 coefficient is off by one under commutator; the bytes are pinned
     run = RunContext(order=9, chi_max=6, m_max=3)
-    run.table._entries[(1, (1,))] = Fraction(1, 4)
+    run.table._entries[(1,)] = Fraction(1, 4)
     reports = [run_target(name, run) for name in ("virasoro", "kdv", "cutjoin")]
     original = operators._virasoro_table
 
@@ -195,7 +195,7 @@ def test_failing_table_reports_are_pinned():
     # row, and quantum-curve a Z whose first degree-5 coefficient is off by 1%;
     # the bytes are pinned
     t = CorrelatorTable()
-    t._entries[(2, (3, 1))] = t.value(2, (3, 1)) * Fraction(101, 100)
+    t._entries[(3, 1)] = t.value(2, (3, 1)) * Fraction(101, 100)
     Z = RunContext(order=8, chi_max=6, m_max=4).Z
     target = next(m for m, _ in Z.sorted_terms() if mono_degree(m) == 5)
     terms = dict(Z.terms)
