@@ -19,7 +19,10 @@ its parts fix (g1 and g2 are at least 1 because every part is), and no
 genus is summed over. So C(a, left) over the splits of `rest` is a vector
 fixed by (a, rest) alone, cached and shared by every step that meets it,
 and the split sum is a dot product of the a side with the reversed b side.
-Each step sums integers and builds one `Fraction`, the memo entry.
+Each step sums integers and builds one `Fraction`, the memo entry. Only keys
+with no part 1 take a step; the others are filled by the dilaton equation
+C(g; mu, 1) = (2g - 2 + n) C(g; mu) = (sum mu) C(g; mu), which `string-dilaton`
+checks against a fresh step (Bessel's alone: for Airy a 1 is the string equation).
 
 Also houses the support predicate and the enumeration of the support.
 """
@@ -31,7 +34,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from operator import neg
+from operator import index, neg
 
 
 def canonical_parts(parts) -> tuple[int, ...]:
@@ -103,17 +106,21 @@ class CorrelatorTable:
         self._vectors: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
     def value(self, g: int, parts) -> Fraction:
-        """Coefficient for genus g and the given parts (any order).
+        """Coefficient for genus g and the given integer parts (any order).
 
         Inputs off the support (even or non-positive parts, wrong total)
         return 0 without recursing.
         """
-        parts = canonical_parts(parts)
+        parts = canonical_parts(map(index, parts))
         if not in_support(g, parts):
             return Fraction(0)
         got = self._entries.get(parts)
         if got is None:
-            got = self._entries[parts] = self.recursion_step(g, parts, 0)
+            if parts[-1] == 1:
+                got = (sum(parts) - 1) * self._lookup(parts[:-1])
+            else:
+                got = self.recursion_step(g, parts, 0)
+            self._entries[parts] = got
         return got
 
     def _lookup(self, parts: tuple[int, ...]) -> Fraction:
@@ -149,13 +156,14 @@ class CorrelatorTable:
     def recursion_step(self, g: int, parts, pivot: int) -> Fraction:
         """One unfolding of the recursion with parts[pivot] distinguished.
 
-        `value` always pivots on the largest part; other pivots are exposed so
-        the well-definedness of the recursion can be checked directly. The
-        index must be on the support, in any order. Each sub-multiset split of
-        the other parts is taken once, weighted by its binomial count, with
-        the genera the support law forces (see the module docstring).
+        `value` pivots on the largest part of a key with no part 1 and fills
+        the others; other pivots and keys are exposed so the recursion's
+        well-definedness and the fill can be checked directly. The index must
+        be on the support, in any order. Each sub-multiset split of the other
+        parts is taken once, weighted by its binomial count, with the genera
+        the support law forces (see the module docstring).
         """
-        parts = tuple(parts)
+        parts = tuple(map(index, parts))
         if not in_support(g, parts):
             raise ValueError(f"index off the support: genus {g}, parts {parts}")
         pivot = range(len(parts))[pivot]

@@ -177,12 +177,15 @@ def quantum_curve_report(Z: PSeries) -> dict:
 
 def string_dilaton_report(table: CorrelatorTable, chi_max: int) -> dict:
     """Appending a part equal to 1 multiplies the value by 2g - 2 + n, on
-    every index tuple with 2g - 2 + n <= chi_max."""
+    every index tuple with 2g - 2 + n <= chi_max. The table fills C(g; mu, 1)
+    by this very equation, so the left side is a fresh recursion step that
+    pivots on the largest part, reading the filled entries only as inputs."""
     _refuse_empty_window("string-dilaton", chi_max=chi_max)
     residuals = [
         {"g": g, "mu": list(parts)}
         for g, parts in support_keys(chi_max)
-        if table.value(g, parts + (1,)) != (2 * g - 2 + len(parts)) * table.value(g, parts)
+        if table.recursion_step(g, parts + (1,), 0)
+        != (2 * g - 2 + len(parts)) * table.value(g, parts)
     ]
     return _report("string-dilaton", chi_max, chi_max, residuals)
 

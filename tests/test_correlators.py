@@ -12,12 +12,15 @@ from bessel_tr.correlators import (
     odd_partitions,
     support_keys,
 )
+from bessel_tr.pseries import free_energy
 from bessel_tr.wave import double_factorial
 
 
 def string_dilaton_holds(t, g, parts):
-    """Appending a part equal to 1 multiplies the value by 2g - 2 + n."""
-    return t.value(g, parts + (1,)) == (2 * g - 2 + len(parts)) * t.value(g, parts)
+    """Appending a part equal to 1 multiplies the value by 2g - 2 + n. The
+    table fills C(g; parts, 1) by this equation, so the left side is a fresh
+    recursion step on the largest part, not the filled entry read back."""
+    return t.recursion_step(g, parts + (1,), 0) == (2 * g - 2 + len(parts)) * t.value(g, parts)
 
 
 def test_base_and_low_values():
@@ -49,6 +52,35 @@ def test_value_is_order_insensitive():
     t = CorrelatorTable()
     assert t.value(2, (1, 3)) == t.value(2, (3, 1))
     assert t.value(3, (1, 1, 3, 3)) == t.value(3, (3, 3, 1, 1))
+
+
+def test_value_refuses_float_parts_on_a_cold_and_a_warm_table():
+    # a float part raises, whatever the memo holds: it is never read through
+    # the int key's entry, nor multiplied into a float by the dilaton fill
+    for warm in ((), (3,), (3, 1)):
+        t = CorrelatorTable()
+        if warm:
+            t.value(2, warm)
+        with pytest.raises(TypeError):
+            t.value(2, (3.0, 1))
+        with pytest.raises(TypeError):
+            t.recursion_step(2, (3.0, 1), 0)
+
+
+def test_free_energy_steps_only_on_keys_with_no_part_one(monkeypatch):
+    # every key with a part 1 is filled from the key without it by the
+    # dilaton equation, so the recursion runs once per other support key
+    steps = []
+    step = CorrelatorTable.recursion_step
+
+    def counted(self, g, parts, pivot):
+        steps.append((g, parts))
+        return step(self, g, parts, pivot)
+
+    monkeypatch.setattr(CorrelatorTable, "recursion_step", counted)
+    free_energy(CorrelatorTable(), 14)
+    assert len(steps) == 21
+    assert sorted(steps) == sorted((g, p) for g, p in support_keys(14) if 1 not in p)
 
 
 def test_closed_form_examples():
@@ -101,7 +133,7 @@ def test_string_dilaton_examples():
     assert t.value(1, (1, 1)) == Fraction(1, 8)
     assert string_dilaton_holds(t, 2, (3,))
     assert t.value(2, (3, 1)) == 3 * t.value(2, (3,))
-    assert string_dilaton_holds(t, 0, (1, 1))
+    assert t.value(0, (1, 1, 1)) == 0  # off the support, where 2g - 2 + n = 0
 
 
 def test_string_dilaton_sweep():

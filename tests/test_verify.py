@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bessel_tr import operators, verify
-from bessel_tr.correlators import CorrelatorTable, odd_partitions
+from bessel_tr.correlators import CorrelatorTable, odd_partitions, support_keys
 from bessel_tr.operators import evolve, virasoro_apply
 from bessel_tr.pseries import (
     PSeries,
@@ -90,6 +90,17 @@ def test_oracle_equivalence_lists_an_engine_entry_off_the_support(monkeypatch):
 
 def test_string_dilaton_through_chi_fourteen():
     assert string_dilaton_report(CorrelatorTable(), 14)["status"] == "pass"
+
+
+def test_a_wrong_dilaton_fill_fails_both_table_checks():
+    # every entry with a part 1 written, before any value is read, with the
+    # wrong factor sum(mu) + 1: string-dilaton must not read back the fill
+    t = CorrelatorTable()
+    for g, parts in support_keys(9):
+        if len(parts) > 1 and parts[-1] == 1:
+            t._entries[parts] = sum(parts) * t.value(g, parts[:-1])
+    assert string_dilaton_report(t, 8)["status"] == "fail"
+    assert oracle_equivalence_report(t, 8)["status"] == "fail"
 
 
 def test_kdv_initial_condition_mismatch():
@@ -193,7 +204,9 @@ def test_failing_reports_are_pinned(monkeypatch):
 def test_failing_table_reports_are_pinned():
     # the table checks must report a corrupted C(2; 3, 1), off by 1%, row for
     # row, and quantum-curve a Z whose first degree-5 coefficient is off by 1%;
-    # the bytes are pinned
+    # the bytes are pinned. string-dilaton recomputes C(2; 3, 1) fresh, so it
+    # lists no row for mu = (3,); at (3, 3, 1) the fault reaches both sides of
+    # the comparison through the filled entries alike
     t = CorrelatorTable()
     t._entries[(3, 1)] = t.value(2, (3, 1)) * Fraction(101, 100)
     Z = RunContext(order=8, chi_max=6, m_max=4).Z
@@ -207,7 +220,7 @@ def test_failing_table_reports_are_pinned():
         quantum_curve_report(PSeries(terms, 8)),
     ]
     assert [(r["check"], r["status"], len(r["residual_terms"])) for r in reports] == [
-        ("string-dilaton", "fail", 7),
+        ("string-dilaton", "fail", 5),
         ("oracle-equivalence", "fail", 6),
         ("sk-identity", "fail", 3),
         ("quantum-curve", "fail", 3),
@@ -215,7 +228,7 @@ def test_failing_table_reports_are_pinned():
     # the table's recursion carries the fault from hbar-power 2g - 2 + n = 4 upward
     assert [r["power"] for r in reports[2]["residual_terms"]] == [4, 5, 6]
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
-    assert digest == "7b99c8514307f096661dbb78e351e0971f30b6a0aba6a5f017f5d5dbfd0c2193"
+    assert digest == "3c9293a8ae06cec6a3593daa9dcf10e95f10e298b70e9c7eb03d32b8bef06194"
 
 
 def sweep_commutator_report(order, m_max):
