@@ -63,9 +63,10 @@ def genus(parts) -> int:
 
 
 def in_support(g: int, parts) -> bool:
-    """True iff there are parts, all positive odd, and g is their `genus`."""
+    """True iff there are parts, all positive odd ints, and g is their `genus`."""
     parts = tuple(parts)
-    return bool(parts) and all(p > 0 and p % 2 == 1 for p in parts) and genus(parts) == g
+    odd = all(isinstance(p, int) and p > 0 and p % 2 == 1 for p in parts)
+    return bool(parts) and odd and genus(parts) == g
 
 
 def odd_partitions(total: int, max_part: int | None = None):

@@ -73,11 +73,11 @@ def _cut_and_join_table(top: int) -> dict:
     p_{2m+1} L^_m has degree >= 2m + 1, so m runs while 2m + 1 <= top, and
     m = 0 always, whose 1/16 gives M its p_1/8."""
     terms = [
-        (2 * c, [*a, (2 * m + 1, 1)], b)
+        (2 * c, [(i, 1) for i in (*a, 2 * m + 1)], [(i, 1) for i in b])
         for m in range((max(top, 1) + 1) // 2)
         for b, row in _virasoro_table(m, top).items()
         for a, c in row.items()
-        if a or b != ((2 * m + 1, 1),)  # drop the 1/hbar piece d/dp_{2m+1}
+        if a or b != (2 * m + 1,)  # drop the 1/hbar piece d/dp_{2m+1}
     ]
     return operator_table(terms)
 

@@ -6,13 +6,14 @@ higher weighted degree. The grading doubles as the hbar-exponent of every
 term of the free energy and partition function, so hbar is never stored;
 even-index variables are unrepresentable by construction.
 
-Monomials are tuples ((index, exponent), ...) sorted by descending index,
-so a product of two is one merge. The canonical term order is graded, then
-lexicographic by descending variable index. exp and log run one Euler
-recursion over degree slices. Products, operator application (one kernel
-that visits only the table rows acting on a term), the commutator `bracket`
-of two operator tables, exp and log loop over integer numerators on a
-common denominator; every coefficient they return is a `Fraction`.
+A monomial p^mu is keyed by its multiset of indices mu, the sorted-descending
+parts tuple that keys the correlator table: p1^2 p3 is (3, 1, 1), and a
+product of two is one sort of their concatenation. The canonical term order
+is graded, then lexicographic by descending variable index. exp and log run
+one Euler recursion over degree slices. Products, operator application (one
+kernel that visits only the table rows acting on a term), the commutator
+`bracket` of two operator tables, exp and log loop over integer numerators
+on a common denominator; every coefficient they return is a `Fraction`.
 
 This is the one series type: the specialised wave function of `wave` is a
 series in p1 alone, standing for w = hbar/z.
@@ -21,18 +22,20 @@ series in p1 alone, standing for w = hbar/z.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, lcm, perm, prod
 
-from .correlators import CorrelatorTable, multiplicity_weight, support_keys
+from .correlators import CorrelatorTable, canonical_parts, multiplicity_weight, support_keys
 
 Mono = tuple
 
 
 def mono(pairs) -> Mono:
-    """Build a monomial key from (index, exponent) pairs of integers."""
-    merged: dict[int, int] = {}
+    """Build a monomial key, the sorted parts tuple, from (index, exponent)
+    pairs of integers: [(1, 2), (3, 1)] gives (3, 1, 1)."""
+    parts: list[int] = []
     for i, e in pairs:
         i, e = operator.index(i), operator.index(e)
         if e == 0:
@@ -41,43 +44,33 @@ def mono(pairs) -> Mono:
             raise ValueError(f"variable index must be odd and positive, got {i}")
         if e < 0:
             raise ValueError(f"negative exponent for p{i}")
-        merged[i] = merged.get(i, 0) + e
-    return tuple(sorted(merged.items(), reverse=True))
+        parts += [i] * e
+    return canonical_parts(parts)
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    """The product of two monomials: one merge of their descending pairs."""
-    if not (a and b):
-        return a or b
-    out, x, n = [], 0, len(a)
-    for v, e in b:
-        while x < n and a[x][0] > v:
-            out.append(a[x])
-            x += 1
-        if x < n and a[x][0] == v:
-            e += a[x][1]
-            x += 1
-        out.append((v, e))
-    return (*out, *a[x:])
+    # the integer kernels `_mul_add` and `_apply_nums` inline this product
+    return canonical_parts(a + b)
 
 
 def mono_degree(m: Mono) -> int:
-    return sum(i * e for i, e in m)
+    return sum(m)
 
 
 def mono_sort_key(m: Mono):
-    return (mono_degree(m), tuple((-i, -e) for i, e in m))
+    # graded, then descending: a prefix of a parts tuple has the lower degree
+    return (sum(m), tuple(-i for i in m))
 
 
 def mono_str(m: Mono) -> str:
     if not m:
         return "1"
-    return "*".join(f"p{i}" if e == 1 else f"p{i}^{e}" for i, e in m)
+    return "*".join(f"p{i}" if e == 1 else f"p{i}^{e}" for i, e in Counter(m).items())
 
 
 def mono_json(m: Mono) -> dict:
     """JSON form of a monomial: {"index": exponent} by ascending index."""
-    return {str(i): e for i, e in sorted(m)}
+    return {str(i): e for i, e in sorted(Counter(m).items())}
 
 
 def _over(coeffs: dict) -> tuple[int, dict]:
@@ -97,7 +90,7 @@ def _graded(nums: dict, order: int) -> list[dict]:
     """Terms bucketed by weighted degree: slot d holds the degree-d terms."""
     out: list[dict] = [{} for _ in range(max(order, 0) + 1)]
     for m, n in nums.items():
-        out[mono_degree(m)][m] = n
+        out[sum(m)][m] = n
     return out
 
 
@@ -106,52 +99,58 @@ def _mul_add(acc: dict, q: int, a: dict, b: dict) -> None:
     for ma, ca in a.items():
         qa = q * ca
         for mb, cb in b.items():
-            key = mono_mul(ma, mb)
+            key = canonical_parts(ma + mb)
             acc[key] = acc.get(key, 0) + qa * cb
 
 
-def _lowered(m: Mono, x: int) -> Mono:
-    """m divided by the variable at position x."""
-    v, e = m[x]
-    return m[:x] + ((v, e - 1),) + m[x + 1 :] if e > 1 else m[:x] + m[x + 1 :]
-
-
 def _rows(table: dict) -> tuple[int, tuple]:
-    """(D, (const, single, pairs)) of a table {B: {A: n / D}}, rows as
-    ((A, n), ...): B = 1, d_v and d_v^2 at (v, 1) and (v, 2), d_v d_w at [v][w]."""
+    """(D, (const, single, square, pairs)) of a table {B: {A: n / D}}, rows as
+    ((A, n), ...), read by the derivative order len(B): B = () is const,
+    (v,) and (v, v) are single[v] and square[v], and (v, w) with v > w is
+    pairs[v][w]. A row of derivative order above 2 is refused."""
     D, nums = _table_over(table)
-    const, single, pairs = (), {}, {}
+    const, single, square, pairs = (), {}, {}, {}
     for b, row in nums.items():
         row = tuple(row.items())
-        if len(b) == 2:
-            pairs.setdefault(b[0][0], {})[b[1][0]] = row
+        if len(b) > 2:
+            raise ValueError(f"derivative order above 2: {mono_str(b)}")
+        if len(b) == 2 and b[0] != b[1]:
+            pairs.setdefault(b[0], {})[b[1]] = row
         elif b:
-            single[b[0]] = row
+            (square if len(b) == 2 else single)[b[0]] = row
         else:
             const = row
-    return D, (const, single, pairs)
+    return D, (const, single, square, pairs)
 
 
 def _apply_nums(nums: dict, rows: tuple) -> dict:
     """The operator of `_rows` on {m: n} over both denominators, zero sums
-    kept; m is lowered only by the rows d_v, d_v^2, d_v d_w that act on it."""
-    const, single, pairs = rows
+    kept; m is lowered only by the rows d_v, d_v^2, d_v d_w that act on it,
+    found in one walk over its runs of equal parts."""
+    const, single, square, pairs = rows
     out: dict[Mono, int] = {}
     for m, c in nums.items():
         hits = [(m, c, const)]
-        for x, (v, e) in enumerate(m):
-            if (v, 1) in single:
-                hits.append((_lowered(m, x), c * e, single[v, 1]))
-            if e > 1 and (v, 2) in single:
-                hits.append((_lowered(_lowered(m, x), x), c * e * (e - 1), single[v, 2]))
+        x, n = 0, len(m)
+        while x < n:
+            v, y = m[x], x + 1
+            while y < n and m[y] == v:
+                y += 1
+            e = y - x  # p_v^e, at positions x .. y - 1
+            if v in single:
+                hits.append((m[:x] + m[x + 1 :], c * e, single[v]))
+            if e > 1 and v in square:
+                hits.append((m[:x] + m[x + 2 :], c * e * (e - 1), square[v]))
             by_w = pairs.get(v)
-            for y in range(x + 1, len(m)) if by_w else ():
-                w, f = m[y]
+            for w in dict.fromkeys(m[y:]) if by_w else ():
                 if w in by_w:
-                    hits.append((_lowered(_lowered(m, y), x), c * e * f, by_w[w]))
+                    z = m.index(w)
+                    rest = m[:x] + m[x + 1 : z] + m[z + 1 :]
+                    hits.append((rest, c * e * m.count(w), by_w[w]))
+            x = y
         for rest, cf, row in hits:
             for a, q in row:
-                key = mono_mul(rest, a)
+                key = canonical_parts(rest + a) if a else rest
                 out[key] = out.get(key, 0) + cf * q
     return out
 
@@ -164,7 +163,7 @@ def operator_table(terms) -> dict:
     table: dict = {}
     for c, a, b in terms:
         b, a = mono(b), mono(a)
-        if sum(e for _, e in b) > 2:
+        if len(b) > 2:
             raise ValueError(f"derivative order above 2: {mono_str(b)}")
         row = table.setdefault(b, {})
         row[a] = row.get(a, 0) + Fraction(c)
@@ -174,21 +173,17 @@ def operator_table(terms) -> dict:
 def _contractions(a: Mono, b: Mono):
     """(k, a / C, b / C) for every common divisor C != 1 of a and b: the terms
     of d^b p^a = sum_C k p^(a / C) d^(b / C) other than p^a d^b itself."""
-    da = dict(a)
-    common = [i for i, _ in b if i in da]
+    common = set(a).intersection(b)
     if not common:
         return
-    db = dict(b)
+    da, db = Counter(a), Counter(b)
     for cs in product(*(range(min(da[i], db[i]) + 1) for i in common)):
         if not any(cs):
             continue
-        k = prod(comb(db[i], c) * perm(da[i], c) for i, c in zip(common, cs))
-        lowered = dict(zip(common, cs))
-        yield (
-            k,
-            mono((i, e - lowered.get(i, 0)) for i, e in a),
-            mono((i, e - lowered.get(i, 0)) for i, e in b),
-        )
+        cut = dict(zip(common, cs))
+        k = prod(comb(db[i], c) * perm(da[i], c) for i, c in cut.items())
+        a_cut = mono((i, e - cut.get(i, 0)) for i, e in da.items())
+        yield k, a_cut, mono((i, e - cut.get(i, 0)) for i, e in db.items())
 
 
 def bracket(x: dict, y: dict, top: int) -> dict:
@@ -205,7 +200,7 @@ def bracket(x: dict, y: dict, top: int) -> dict:
     over C <= B1, A2 componentwise. The C = 1 terms of x o y and y o x are
     both c1 c2 p^(A1 + A2) d^(B1 + B2) and cancel, so only the contractions
     C != 1 are summed. The result reaches derivative order 4, which
-    `PSeries.apply` does not look up; it is only compared, never applied."""
+    `PSeries.apply` refuses; it is only compared, never applied."""
     d_x, x = _table_over(x)
     d_y, y = _table_over(y)
     out: dict = {}
@@ -215,7 +210,7 @@ def bracket(x: dict, y: dict, top: int) -> dict:
                 for a2, c2 in row2.items():
                     for k, a, b in _contractions(a2, b1):
                         b = mono_mul(b, b2)
-                        if mono_degree(b) > top:
+                        if sum(b) > top:
                             continue
                         row = out.setdefault(b, {})
                         kc = sign * k * c2
@@ -237,7 +232,7 @@ class PSeries:
         cleaned: dict[Mono, Fraction] = {}
         for m, c in (terms or {}).items():
             c = c if isinstance(c, Fraction) else Fraction(c)
-            if c and mono_degree(m) <= self.order:
+            if c and sum(m) <= self.order:
                 cleaned[m] = c
         self.terms = cleaned
 
@@ -265,7 +260,7 @@ class PSeries:
         """Set every variable outside `indices` to zero."""
         keep = set(indices)
         return PSeries(
-            {m: c for m, c in self.terms.items() if all(i in keep for i, _ in m)},
+            {m: c for m, c in self.terms.items() if keep.issuperset(m)},
             self.order,
         )
 
@@ -274,10 +269,9 @@ class PSeries:
         mono([(index, 1)])  # rejects an index that is even or not positive
         out = {}
         for m, c in self.terms.items():
-            for x, (v, e) in enumerate(m):
-                if v == index:
-                    out[_lowered(m, x)] = c * e
-                    break
+            if index in m:
+                x = m.index(index)
+                out[m[:x] + m[x + 1 :]] = c * m.count(index)
         return PSeries(out, self.order)
 
     def apply(self, table: dict) -> "PSeries":
@@ -401,7 +395,7 @@ def free_energy(table: CorrelatorTable, order: int) -> PSeries:
         raise ValueError("order must be non-negative")
     terms: dict[Mono, Fraction] = {}
     for g, parts in support_keys(order):
-        terms[mono((p, 1) for p in parts)] = table.value(g, parts) / multiplicity_weight(parts)
+        terms[parts] = table.value(g, parts) / multiplicity_weight(parts)
     return PSeries(terms, order)
 
 

@@ -373,6 +373,12 @@ _PINNED_DUMPS = {
     ("u-table", "--chi-max", "30"): {
         "json": "195f1d671a1c4ee826cb2e47520dedd5c45388e7cd5ed088d18c026f62b23859",
     },
+    # monomial printing at depth, exponents up to p1^24 (the json form is pinned
+    # above; this spelling of the same argv keeps the earlier entries' test ids)
+    ("partition", "--order=24"): {
+        "text": "623955d2261ccd9c4c8c771ad1cc9484a54aff2d7e44a7df8f9c36c65f34b152",
+        "csv": "033fb0c6ce9b6ff6c3438d3c221c4e778fae1b1d7b797c4f101055e0928f31f9",
+    },
 }
 
 

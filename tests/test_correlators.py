@@ -152,6 +152,8 @@ def test_support_predicate_examples():
     # a fractional part is not odd, whatever the parts sum to
     assert not in_support(1, (1.5,))
     assert not in_support(2, (2.5, 1.5))
+    # nor is an integer-valued float, which `value` refuses with TypeError
+    assert not in_support(2, (3.0, 1))
 
 
 def test_support_sweep_parts_up_to_nine():
