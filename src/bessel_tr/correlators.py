@@ -70,18 +70,21 @@ def in_support(g: int, parts) -> bool:
 
 
 def odd_partitions(total: int, max_part: int | None = None):
-    """Partitions of `total` into positive odd parts, as descending tuples."""
-    if max_part is None:
-        max_part = total
+    """Partitions of `total` into odd parts <= max_part, descending, reverse-lexicographic."""
     if total == 0:
         yield ()
         return
-    start = min(total, max_part)
-    if start % 2 == 0:
-        start -= 1
-    for first in range(start, 0, -2):
-        for rest in odd_partitions(total - first, first):
-            yield (first,) + rest
+    cap = min(total, total if max_part is None else max_part)
+    cap -= 1 - cap % 2  # the largest odd part allowed
+    parts, rest = [], total
+    while cap > 0:
+        q, r = divmod(rest, cap)  # fill `rest` greedily with odd parts <= cap
+        parts += [cap] * q + ([r] if r % 2 else [r - 1, 1] if r else [])
+        yield tuple(parts)  # then lower the last part above 1 by 2, and refill
+        ones = parts.count(1)
+        del parts[len(parts) - ones :]
+        last = parts.pop() if parts else 1  # a 1 ends the walk
+        cap, rest = last - 2, last + ones
 
 
 def support_keys(chi_max: int):

@@ -6,14 +6,18 @@ higher weighted degree. The grading doubles as the hbar-exponent of every
 term of the free energy and partition function, so hbar is never stored;
 even-index variables are unrepresentable by construction.
 
-A monomial p^mu is keyed by its multiset of indices mu, the sorted-descending
-parts tuple that keys the correlator table: p1^2 p3 is (3, 1, 1), and a
-product of two is one sort of their concatenation. The canonical term order
-is graded, then lexicographic by descending variable index. exp and log run
-one Euler recursion over degree slices. Products, operator application (one
-kernel that visits only the table rows acting on a term), the commutator
-`bracket` of two operator tables, exp and log loop over integer numerators
-on a common denominator; every coefficient they return is a `Fraction`.
+A series keys p^mu by the int `pack(mu)`: the low W-bit field holds the
+degree sum(mu) and field j >= 1 the exponent of p_{2j-1}, so a product of
+monomials is a sum of keys, `k & MASK` is the degree, and d/dp_v subtracts
+`pack((v,))`; orders stop at LIMIT, so no such sum carries into the next field.
+`mono`, the public constructor, `coefficient`, the printed terms, operator
+tables and `bracket` keep the sorted parts tuple of the correlator table
+(p1^2 p3 is (3, 1, 1)). The canonical term order is graded, then
+lexicographic by descending variable index. exp and log run one Euler
+recursion over degree slices. Products, operator application (one kernel
+that visits only the table rows acting on a term), `bracket`, exp and log
+loop over integer numerators on a common denominator; every coefficient they
+return is a `Fraction`.
 
 This is the one series type: the specialised wave function of `wave` is a
 series in p1 alone, standing for w = hbar/z.
@@ -30,6 +34,26 @@ from math import comb, gcd, lcm, perm, prod
 from .correlators import CorrelatorTable, canonical_parts, multiplicity_weight, support_keys
 
 Mono = tuple
+W = 8  # bits per field of a packed key
+MASK = (1 << W) - 1
+LIMIT = MASK >> 1  # the highest order: keys of degree <= LIMIT add without a carry
+P1 = 1 + (1 << W)  # the key of p1; p1^d is d * P1
+
+
+def pack(parts) -> int:
+    """The key of the monomial with these odd parts, of degree <= MASK."""
+    return sum(parts) + sum(1 << W * (i + 1) // 2 for i in parts)
+
+
+def unpack(k: int) -> Mono:
+    """The sorted parts tuple of a packed key."""
+    return mono((2 * j - 1, k >> W * j & MASK) for j in range(1, k.bit_length() // W + 1))
+
+
+def _order(order) -> int:
+    if operator.index(order) > LIMIT:
+        raise ValueError(f"order {order} is above {LIMIT}, the most a packed key holds")
+    return operator.index(order)
 
 
 def mono(pairs) -> Mono:
@@ -48,18 +72,8 @@ def mono(pairs) -> Mono:
     return canonical_parts(parts)
 
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    # the integer kernels `_mul_add` and `_apply_nums` inline this product
-    return canonical_parts(a + b)
-
-
 def mono_degree(m: Mono) -> int:
     return sum(m)
-
-
-def mono_sort_key(m: Mono):
-    # graded, then descending: a prefix of a parts tuple has the lower degree
-    return (sum(m), tuple(-i for i in m))
 
 
 def mono_str(m: Mono) -> str:
@@ -89,29 +103,29 @@ def _table_over(table: dict) -> tuple[int, dict]:
 def _graded(nums: dict, order: int) -> list[dict]:
     """Terms bucketed by weighted degree: slot d holds the degree-d terms."""
     out: list[dict] = [{} for _ in range(max(order, 0) + 1)]
-    for m, n in nums.items():
-        out[sum(m)][m] = n
+    for k, n in nums.items():
+        out[k & MASK][k] = n
     return out
 
 
 def _mul_add(acc: dict, q: int, a: dict, b: dict) -> None:
-    """acc += q a b for integer slices {mono: numerator}; zero sums stay."""
-    for ma, ca in a.items():
+    """acc += q a b for integer slices {key: numerator}; zero sums stay."""
+    for ka, ca in a.items():
         qa = q * ca
-        for mb, cb in b.items():
-            key = canonical_parts(ma + mb)
+        for kb, cb in b.items():
+            key = ka + kb
             acc[key] = acc.get(key, 0) + qa * cb
 
 
-def _rows(table: dict) -> tuple[int, tuple]:
+def _rows(table: dict, order: int) -> tuple[int, tuple]:
     """(D, (const, single, square, pairs)) of a table {B: {A: n / D}}, rows as
-    ((A, n), ...), read by the derivative order len(B): B = () is const,
-    (v,) and (v, v) are single[v] and square[v], and (v, w) with v > w is
-    pairs[v][w]. A row of derivative order above 2 is refused."""
+    ((pack(A), n), ...) for the A of degree <= order (no other lands a kept
+    term), read by len(B): B = () is const, (v,) and (v, v) are single[v] and
+    square[v], (v, w) with v > w is pairs[v][w]. Order above 2 is refused."""
     D, nums = _table_over(table)
     const, single, square, pairs = (), {}, {}, {}
     for b, row in nums.items():
-        row = tuple(row.items())
+        row = tuple((pack(a), n) for a, n in row.items() if sum(a) <= order)
         if len(b) > 2:
             raise ValueError(f"derivative order above 2: {mono_str(b)}")
         if len(b) == 2 and b[0] != b[1]:
@@ -124,33 +138,31 @@ def _rows(table: dict) -> tuple[int, tuple]:
 
 
 def _apply_nums(nums: dict, rows: tuple) -> dict:
-    """The operator of `_rows` on {m: n} over both denominators, zero sums
-    kept; m is lowered only by the rows d_v, d_v^2, d_v d_w that act on it,
-    found in one walk over its runs of equal parts."""
+    """The operator of `_rows` on {k: n} over both denominators, zero sums
+    kept; k is lowered only by the rows d_v, d_v^2, d_v d_w that act on it,
+    found in one walk over its fields, lowest index first."""
     const, single, square, pairs = rows
-    out: dict[Mono, int] = {}
-    for m, c in nums.items():
-        hits = [(m, c, const)]
-        x, n = 0, len(m)
-        while x < n:
-            v, y = m[x], x + 1
-            while y < n and m[y] == v:
-                y += 1
-            e = y - x  # p_v^e, at positions x .. y - 1
-            if v in single:
-                hits.append((m[:x] + m[x + 1 :], c * e, single[v]))
-            if e > 1 and v in square:
-                hits.append((m[:x] + m[x + 2 :], c * e * (e - 1), square[v]))
-            by_w = pairs.get(v)
-            for w in dict.fromkeys(m[y:]) if by_w else ():
-                if w in by_w:
-                    z = m.index(w)
-                    rest = m[:x] + m[x + 1 : z] + m[z + 1 :]
-                    hits.append((rest, c * e * m.count(w), by_w[w]))
-            x = y
+    out: dict[int, int] = {}
+    for k, c in nums.items():
+        hits, seen = [(k, c, const)], []
+        x, v, bit = k >> W, 1, 1 << W
+        while x:
+            e = x & MASK
+            if e:  # p_v^e: d_v lowers k by u = pack((v,))
+                u = v + bit
+                if v in single:
+                    hits.append((k - u, c * e, single[v]))
+                if e > 1 and v in square:
+                    hits.append((k - 2 * u, c * e * (e - 1), square[v]))
+                by_w = pairs.get(v)
+                for w, f, uw in seen if by_w else ():
+                    if w in by_w:
+                        hits.append((k - u - uw, c * e * f, by_w[w]))
+                seen.append((v, e, u))
+            x, v, bit = x >> W, v + 2, bit << W
         for rest, cf, row in hits:
             for a, q in row:
-                key = canonical_parts(rest + a) if a else rest
+                key = rest + a
                 out[key] = out.get(key, 0) + cf * q
     return out
 
@@ -209,13 +221,13 @@ def bracket(x: dict, y: dict, top: int) -> dict:
             for b2, row2 in inner.items():
                 for a2, c2 in row2.items():
                     for k, a, b in _contractions(a2, b1):
-                        b = mono_mul(b, b2)
+                        b = canonical_parts(b + b2)
                         if sum(b) > top:
                             continue
                         row = out.setdefault(b, {})
                         kc = sign * k * c2
                         for a1, c1 in row1.items():
-                            key = mono_mul(a1, a)
+                            key = canonical_parts(a1 + a)
                             row[key] = row.get(key, 0) + kc * c1
     den = d_x * d_y
     rows = ((b, {a: Fraction(n, den) for a, n in row.items() if n}) for b, row in out.items())
@@ -228,87 +240,95 @@ class PSeries:
     __slots__ = ("order", "terms")
 
     def __init__(self, terms: dict | None = None, order: int = 0):
-        self.order = operator.index(order)
-        cleaned: dict[Mono, Fraction] = {}
+        """{parts tuple: c} at `order`; parts are checked as by `mono`, equal monomials add."""
+        self.order = _order(order)
+        packed: Counter = Counter()
         for m, c in (terms or {}).items():
-            c = c if isinstance(c, Fraction) else Fraction(c)
-            if c and sum(m) <= self.order:
-                cleaned[m] = c
-        self.terms = cleaned
+            m = mono((i, 1) for i in m)
+            if sum(m) <= self.order:
+                packed[pack(m)] += Fraction(c)
+        self.terms = {k: c for k, c in packed.items() if c}
+
+    @classmethod
+    def _of(cls, terms: dict, order: int) -> "PSeries":
+        """A series on trusted terms: packed, nonzero `Fraction`s of degree <= order."""
+        series = cls.__new__(cls)
+        series.order, series.terms = order, terms
+        return series
 
     @classmethod
     def one(cls, order: int) -> "PSeries":
-        return cls({(): Fraction(1)}, order)
+        return cls({(): 1}, order)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def coefficient(self, m) -> Fraction:
         """Coefficient of the monomial given as (index, exponent) pairs."""
-        return self.terms.get(mono(m), Fraction(0))
+        m = mono(m)
+        return self.terms.get(pack(m), Fraction(0)) if sum(m) <= self.order else Fraction(0)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+        return self.terms.get(0, Fraction(0))
 
     def truncated(self, order: int) -> "PSeries":
         """Drop terms of degree above `order`, never raising the order; negative means empty."""
         if order < 0:
             return PSeries({}, 0)
-        return PSeries(self.terms, min(order, self.order))
+        order = min(operator.index(order), self.order)
+        return PSeries._of({k: c for k, c in self.terms.items() if k & MASK <= order}, order)
 
     def restrict(self, indices) -> "PSeries":
         """Set every variable outside `indices` to zero."""
-        keep = set(indices)
-        return PSeries(
-            {m: c for m, c in self.terms.items() if keep.issuperset(m)},
-            self.order,
-        )
+        fields = {MASK << W * (i + 1) // 2 for i in indices if 0 < i <= self.order and i % 2}
+        drop = ~sum(fields, MASK)  # every field but the degree and the kept indices
+        return PSeries._of({k: c for k, c in self.terms.items() if not k & drop}, self.order)
 
     def partial(self, index: int) -> "PSeries":
         """Formal partial derivative by p_index; the truncation order is kept."""
         mono([(index, 1)])  # rejects an index that is even or not positive
-        out = {}
-        for m, c in self.terms.items():
-            if index in m:
-                x = m.index(index)
-                out[m[:x] + m[x + 1 :]] = c * m.count(index)
-        return PSeries(out, self.order)
+        shift, out = W * (index + 1) // 2, {}
+        for k, c in self.terms.items():
+            e = k >> shift & MASK
+            if e:  # lower k by pack((index,))
+                out[k - index - (1 << shift)] = c * e
+        return PSeries._of(out, self.order)
 
     def apply(self, table: dict) -> "PSeries":
         """Apply the normal-ordered operator sum_B (sum_A c p^A) d^B, derivatives
         first, given as the table {B: {A: c}} of `operator_table`, through the
         kernel `_apply_nums`: a term's cost grows with the rows that act on
         it, not with the table size. The truncation order is kept."""
-        d_self, nums = _over(self.terms)
-        d_table, rows = _rows(table)
-        out = _apply_nums(nums, rows)
-        return PSeries({m: Fraction(n, d_self * d_table) for m, n in out.items() if n}, self.order)
+        (d_self, nums), order = _over(self.terms), self.order
+        d_table, rows = _rows(table, order)
+        out, den = _apply_nums(nums, rows).items(), d_self * d_table
+        return PSeries._of({k: Fraction(n, den) for k, n in out if n and k & MASK <= order}, order)
 
     def __add__(self, other: "PSeries") -> "PSeries":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return PSeries(out, min(self.order, other.order))
+        out, order = dict(self.terms), min(self.order, other.order)
+        for k, c in other.terms.items():
+            out[k] = out[k] + c if k in out else c
+        return PSeries._of({k: c for k, c in out.items() if c and k & MASK <= order}, order)
 
     def __sub__(self, other: "PSeries") -> "PSeries":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out[m] - c if m in out else -c
-        return PSeries(out, min(self.order, other.order))
+        out, order = dict(self.terms), min(self.order, other.order)
+        for k, c in other.terms.items():
+            out[k] = out[k] - c if k in out else -c
+        return PSeries._of({k: c for k, c in out.items() if c and k & MASK <= order}, order)
 
     def __mul__(self, other):
         if not isinstance(other, PSeries):
-            scalar = Fraction(other)
-            return PSeries({m: c * scalar for m, c in self.terms.items()}, self.order)
+            x = Fraction(other)
+            return PSeries._of({k: c * x for k, c in self.terms.items() if x}, self.order)
         order = min(self.order, other.order)
         d_a, a = _over(self.terms)
         d_b, b = _over(other.terms)
         a, b = _graded(a, self.order), _graded(b, other.order)
-        out: dict[Mono, int] = {}
+        out: dict[int, int] = {}
         for da in range(order + 1):
             for db in range(order + 1 - da):
                 _mul_add(out, 1, a[da], b[db])
-        return PSeries({m: Fraction(n, d_a * d_b) for m, n in out.items() if n}, order)
+        return PSeries._of({k: Fraction(n, d_a * d_b) for k, n in out.items() if n}, order)
 
     def exp(self) -> "PSeries":
         """exp by the Euler recursion over degree slices; requires zero
@@ -344,22 +364,24 @@ class PSeries:
         of s and L the lcm of the slices it reads, reduced by their gcd."""
         D, nums = _over(self.terms)
         s = _graded(nums, self.order)
-        o = [(1, {} if log else {(): 1})]
+        o = [(1, {} if log else {0: 1})]
         for d in range(1, len(s)):
             reads = [k for k in range(1, d + 1) if s[k] and o[d - k][1]]
             L = lcm(*(o[d - k][0] for k in reads))
-            acc = {m: n * d * L for m, n in s[d].items()} if log else {}
+            acc = {k: n * d * L for k, n in s[d].items()} if log else {}
             for k in reads:
                 den, prev = o[d - k]
                 _mul_add(acc, (k - d if log else k) * (L // den), s[k], prev)
             den = d * D * L
             g = gcd(den, *acc.values())
-            o.append((den // g, {m: n // g for m, n in acc.items() if n}))
-        terms = {m: Fraction(n, den) for den, slice_ in o for m, n in slice_.items()}
-        return PSeries(terms, self.order)
+            o.append((den // g, {k: n // g for k, n in acc.items() if n}))
+        terms = {k: Fraction(n, den) for den, slice_ in o for k, n in slice_.items()}
+        return PSeries._of(terms, self.order)
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: mono_sort_key(kv[0]))
+        # graded, then by the exponents from the highest index down, descending
+        keys = sorted(self.terms, key=lambda k: (k & MASK, -(k >> W)))
+        return [(unpack(k), self.terms[k]) for k in keys]
 
     def rows(self, **tags) -> list[dict]:
         """The term rows {**tags, "mono": ..., "coeff": "p/q"}, in `sorted_terms` order."""
@@ -393,10 +415,10 @@ def free_energy(table: CorrelatorTable, order: int) -> PSeries:
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    terms: dict[Mono, Fraction] = {}
-    for g, parts in support_keys(order):
-        terms[parts] = table.value(g, parts) / multiplicity_weight(parts)
-    return PSeries(terms, order)
+    terms: dict[int, Fraction] = {}
+    for g, parts in support_keys(_order(order)):  # each value is positive
+        terms[pack(parts)] = table.value(g, parts) / multiplicity_weight(parts)
+    return PSeries._of(terms, order)
 
 
 def partition_function(table: CorrelatorTable, order: int) -> PSeries:

@@ -3,7 +3,7 @@
 The principal specialisation p_i = z^(-i) sends a term of weighted degree d
 to (hbar/z)^d. It preserves degree, so it is a ring map from the graded
 series ring into its own p1-only part: the wave function is a `PSeries` in p1
-alone, standing for w = hbar/z, with w^d stored as mono([(1, d)]).
+alone, standing for w = hbar/z, with w^d keyed as p1^d, `d * P1`.
 
 The wave function psi = Z|_{p_i = z^(-i)} satisfies
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .pseries import PSeries, _over, mono, mono_degree, operator_table
+from .pseries import MASK, P1, PSeries, _order, _over, operator_table
 
 
 def principal_specialize(series: PSeries) -> PSeries:
@@ -27,10 +27,10 @@ def principal_specialize(series: PSeries) -> PSeries:
     The numerators of each degree are summed over one denominator."""
     den, nums = _over(series.terms)
     out: dict = {}
-    for m, n in nums.items():
-        d = mono_degree(m)
-        out[d] = out.get(d, 0) + n
-    return PSeries({mono([(1, d)]): Fraction(n, den) for d, n in out.items()}, series.order)
+    for k, n in nums.items():
+        w = (k & MASK) * P1
+        out[w] = out.get(w, 0) + n
+    return PSeries._of({w: Fraction(n, den) for w, n in out.items() if n}, series.order)
 
 
 def coefficients(psi: PSeries) -> list[Fraction]:
@@ -57,7 +57,7 @@ def wave_coeff(d: int) -> Fraction:
 
 
 def wave_series(order: int) -> PSeries:
-    return PSeries({mono([(1, d)]): wave_coeff(d) for d in range(order + 1)}, order)
+    return PSeries._of({d * P1: wave_coeff(d) for d in range(_order(order) + 1)}, order)
 
 
 _QUANTUM_CURVE = operator_table(

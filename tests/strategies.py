@@ -1,5 +1,6 @@
 """Helpers shared by the test modules: the monomial shorthand `M`, the
-hypothesis settings `PROPERTY` and the `sparse_series` strategy."""
+hypothesis settings `PROPERTY` and the `monomials` and `sparse_series`
+strategies."""
 
 from fractions import Fraction
 
@@ -16,6 +17,9 @@ def M(*pairs):
 
 # property tests draw a fixed example stream (derandomize), so the suite is deterministic
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# a monomial over p1 .. p9 with exponents <= 3, possibly empty
+monomials = st.lists(st.tuples(st.sampled_from((1, 3, 5, 7, 9)), st.integers(1, 3))).map(mono)
 
 
 @st.composite

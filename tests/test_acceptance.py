@@ -66,7 +66,7 @@ def test_criterion_1_printed_expansions():
     t = CorrelatorTable()
     F = free_energy(t, 6)
     Z = partition_function(t, 6)
-    ok = F.terms == F_PRINTED and Z.terms == Z_PRINTED
+    ok = dict(F.sorted_terms()) == F_PRINTED and dict(Z.sorted_terms()) == Z_PRINTED
     ok = ok and Z.coefficient([(1, 6)]) == Fraction(115005, 2**22)
     ok = ok and F.coefficient([(3, 2)]) == Fraction(63, 1024)
     _criterion(1, ok, "all 14 printed Z and 13 printed F coefficients reproduced exactly")

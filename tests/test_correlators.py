@@ -213,6 +213,26 @@ def test_odd_partitions():
         assert sum(parts) == 9
 
 
+def recursive_odd_partitions(total, max_part):
+    """The first part from the largest allowed down, then the rest below it."""
+    if total == 0:
+        yield ()
+        return
+    start = min(total, max_part)
+    for first in range(start - 1 + start % 2, 0, -2):
+        for rest in recursive_odd_partitions(total - first, first):
+            yield (first,) + rest
+
+
+def test_odd_partitions_match_the_recursive_walk():
+    # the same partitions in the same order, for every cap, even ones included
+    for total in range(-1, 31):
+        assert list(odd_partitions(total)) == list(recursive_odd_partitions(total, total))
+        for max_part in range(-1, total + 3):
+            got = odd_partitions(total, max_part)
+            assert list(got) == list(recursive_odd_partitions(total, max_part)), (total, max_part)
+
+
 def test_support_keys_ordering_and_content():
     keys = list(support_keys(3))
     assert (1, (1,)) in keys

@@ -6,22 +6,25 @@ from math import factorial, perm, prod
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from strategies import PROPERTY, M, sparse_series
+from strategies import PROPERTY, M, monomials, sparse_series
 
-from bessel_tr.correlators import CorrelatorTable, in_support, support_keys
-from bessel_tr.operators import _virasoro_table
+from bessel_tr.correlators import CorrelatorTable, canonical_parts, in_support, support_keys
+from bessel_tr.operators import _virasoro_table, evolve, kdv_initial_series
 from bessel_tr.pseries import (
+    LIMIT,
+    MASK,
     PSeries,
     bracket,
     free_energy,
     mono,
     mono_degree,
-    mono_mul,
     mono_str,
     operator_table,
+    pack,
     partition_function,
+    unpack,
 )
-from bessel_tr.wave import double_factorial, principal_specialize
+from bessel_tr.wave import double_factorial, principal_specialize, wave_series
 
 
 def test_mono_rejects_even_or_negative():
@@ -35,10 +38,10 @@ def test_mono_rejects_even_or_negative():
 def test_free_energy_order_three():
     F = free_energy(CorrelatorTable(), 3)
     assert F.terms == {
-        M((1, 1)): Fraction(1, 8),
-        M((1, 2)): Fraction(1, 16),
-        M((3, 1)): Fraction(3, 128),
-        M((1, 3)): Fraction(1, 24),
+        pack(M((1, 1))): Fraction(1, 8),
+        pack(M((1, 2))): Fraction(1, 16),
+        pack(M((3, 1))): Fraction(3, 128),
+        pack(M((1, 3))): Fraction(1, 24),
     }
 
 
@@ -61,7 +64,7 @@ def test_free_energy_rejects_a_negative_order():
 def test_free_energy_keys_are_the_table_keys():
     # one key per multiset: F's monomials are the correlator table's parts tuples
     keys = {parts for _, parts in support_keys(12)}
-    assert set(free_energy(CorrelatorTable(), 12).terms) == keys
+    assert set(map(unpack, free_energy(CorrelatorTable(), 12).terms)) == keys
 
 
 def test_operator_table_rejects_a_third_derivative():
@@ -78,7 +81,7 @@ def test_series_is_unhashable_and_prints_zero():
 def test_free_energy_grading():
     # every emitted monomial is a support index: weight = 2g - 2 + n
     F = free_energy(CorrelatorTable(), 8)
-    for m in F.terms:
+    for m in map(unpack, F.terms):
         parts = []
         for i, e in Counter(m).items():
             parts += [i] * e
@@ -213,6 +216,8 @@ def test_coefficient_normalises_every_key():
     s = PSeries({M((3, 1), (1, 1)): Fraction(2, 5)}, 4)
     assert s.coefficient(((1, 1), (3, 1))) == Fraction(2, 5)
     assert s.coefficient(((3, 1), (1, 1))) == Fraction(2, 5)
+    # a monomial above the order, even one too large for a packed key, is 0
+    assert s.coefficient(((1, 300),)) == 0
 
 
 def test_coefficient_refuses_a_fractional_index():
@@ -330,14 +335,14 @@ def apply_any_order(series, table):
     """Apply {B: {A: c}} with derivatives of any order: d^B p^m is
     prod (m_i)_(B_i) p^(m - B) where B divides m."""
     out = PSeries({}, series.order)
-    for m, c in series.terms.items():
+    for m, c in series.sorted_terms():
         powers = Counter(m)
         for b, row in table.items():
             need = Counter(b)
             if all(powers[i] >= e for i, e in need.items()):
                 k = c * prod(perm(powers[i], e) for i, e in need.items())
                 rest = mono((i, e - need[i]) for i, e in powers.items())
-                image = {mono_mul(rest, a): k * q for a, q in row.items()}
+                image = {canonical_parts(rest + a): k * q for a, q in row.items()}
                 out = out + PSeries(image, series.order)
     return out
 
@@ -353,8 +358,8 @@ def apply_any_order(series, table):
 def test_bracket_applies_as_the_commutator(s, x, y):
     # no side truncates at order 64: s has degree <= 12 and each factor's A
     # degree <= 20; bracket keeps the derivatives that can act on s
-    s = PSeries(s.terms, 64)
-    top = max(map(mono_degree, s.terms), default=0)
+    s = PSeries(dict(s.sorted_terms()), 64)
+    top = max((mono_degree(m) for m, _ in s.sorted_terms()), default=0)
     table = bracket(x, y, top)
     assert all(row and all(row.values()) for row in table.values())
     assert apply_any_order(s, table) == s.apply(y).apply(x) - s.apply(x).apply(y)
@@ -431,16 +436,73 @@ def test_virasoro_tables_apply_as_any_order(m):
     assert Z.apply(table) == apply_any_order(Z, table)
 
 
-# a monomial over p1 .. p9 with exponents <= 3, possibly empty
-MONOMIALS = st.lists(st.tuples(st.sampled_from((1, 3, 5, 7, 9)), st.integers(1, 3))).map(mono)
+# monomials of degree <= LIMIT, the most a kept key has: two of them add
+# without a carry
+KEPT = monomials.filter(lambda m: sum(m) <= LIMIT)
 
 
 @PROPERTY
-@given(MONOMIALS, MONOMIALS)
+@given(KEPT, KEPT)
 @example((), ())
 @example(M((5, 1), (1, 2)), M((5, 2), (3, 1), (1, 1)))
-def test_mono_mul_merges_as_mono(a, b):
-    assert mono_mul(a, b) == mono((p, 1) for p in a + b)
+@example(M((1, LIMIT)), M((LIMIT, 1)))
+def test_packed_keys_add_as_the_product(a, b):
+    assert unpack(pack(a)) == a
+    assert pack(a) & MASK == sum(a)
+    assert pack(a) + pack(b) == pack(canonical_parts(a + b))
+
+
+@PROPERTY
+@given(sparse_series(max_order=20), st.sampled_from((1, 3, 5, 7, 9)), st.sets(st.integers(-1, 25)))
+def test_partial_and_restrict_match_their_parts_definitions(s, i, keep):
+    # d/dp_i drops one part i and multiplies by the count of i; restrict
+    # keeps the monomials whose parts all lie in `keep`
+    derivative = {}
+    for m, c in s.sorted_terms():
+        if i in m:
+            x = m.index(i)
+            derivative[m[:x] + m[x + 1 :]] = c * m.count(i)
+    assert s.partial(i) == PSeries(derivative, s.order)
+    kept = {m: c for m, c in s.sorted_terms() if keep.issuperset(m)}
+    assert s.restrict(keep) == PSeries(kept, s.order)
+
+
+def test_an_order_too_large_for_a_field_is_refused():
+    # only empty series and the entry checks: nothing large is built
+    assert PSeries({}, LIMIT).order == LIMIT
+    for build in (
+        lambda: PSeries({}, LIMIT + 1),
+        lambda: PSeries.one(LIMIT + 1),
+        lambda: free_energy(CorrelatorTable(), LIMIT + 1),
+        lambda: evolve(LIMIT + 1),
+        lambda: kdv_initial_series(LIMIT + 1),
+        lambda: wave_series(LIMIT + 1),
+    ):
+        with pytest.raises(ValueError, match="packed key"):
+            build()
+
+
+def test_apply_drops_a_row_above_the_order():
+    # p127 p129 has degree 256, whose key would carry out of the degree field
+    s = PSeries({(LIMIT,): 1}, LIMIT)
+    assert s.apply(operator_table([(1, [(LIMIT + 2, 1)], [])])).is_zero()
+
+
+def test_the_constructor_keys_each_monomial_once():
+    # an unsorted parts tuple is the monomial of its sorted one, and equal
+    # monomials add up
+    s = PSeries({(1, 3): 1, (3, 1): 1}, 4)
+    assert s == PSeries({(3, 1): 2}, 4)
+    assert repr(s) == "PSeries(2*p3*p1; order=4)"
+    assert (PSeries({(1, 3): 1}, 4) - PSeries({(3, 1): 1}, 4)).is_zero()
+    assert PSeries({(1, 3): 1, (3, 1): -1}, 4).is_zero()
+
+
+@pytest.mark.parametrize("parts", [(2,), (1, 4), (3, 0), (-1,), (10,)])
+def test_the_constructor_refuses_an_even_or_non_positive_part(parts):
+    # p2 is unrepresentable, at any degree
+    with pytest.raises(ValueError, match="odd and positive"):
+        PSeries({parts: 1}, 4)
 
 
 def test_bessel_denominators_are_powers_of_two():
@@ -452,7 +514,7 @@ def test_bessel_denominators_are_powers_of_two():
     for g, parts in support_keys(24):
         d = (table.value(g, parts) * prod(double_factorial(p) for p in parts)).denominator
         assert d & (d - 1) == 0 and d.bit_length() <= 4 * g, (g, parts)
-    for m, c in partition_function(table, 24).terms.items():
+    for m, c in partition_function(table, 24).sorted_terms():
         weight = prod(factorial(e) * double_factorial(i) ** e for i, e in Counter(m).items())
         d = (c * weight).denominator
         assert d & (d - 1) == 0, m

@@ -50,7 +50,7 @@ def test_quantum_curve_routes_each_see_a_corrupted_z():
     Z = RunContext(order=8, chi_max=6, m_max=4).Z
     assert quantum_curve_report(Z)["status"] == "pass"
     target = next(m for m, _ in Z.sorted_terms() if mono_degree(m) == 5)
-    terms = dict(Z.terms)
+    terms = dict(Z.sorted_terms())
     terms[target] *= Fraction(101, 100)
     report = quantum_curve_report(PSeries(terms, 8))
     assert report["status"] == "fail"
@@ -211,7 +211,7 @@ def test_failing_table_reports_are_pinned():
     t._entries[(3, 1)] = t.value(2, (3, 1)) * Fraction(101, 100)
     Z = RunContext(order=8, chi_max=6, m_max=4).Z
     target = next(m for m, _ in Z.sorted_terms() if mono_degree(m) == 5)
-    terms = dict(Z.terms)
+    terms = dict(Z.sorted_terms())
     terms[target] *= Fraction(101, 100)
     reports = [
         string_dilaton_report(t, 6),
