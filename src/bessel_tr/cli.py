@@ -5,9 +5,9 @@ engine dump), free-energy, partition, wave (series exports), and verify
 (the integrability suites). All outputs are deterministic: identical
 configuration yields byte-identical output, values are always lowest-terms
 "p/q" strings, and files are UTF-8. Usage errors, including negative
-numeric flags and a verify target whose check window would be empty, print
-a message on stderr and exit 2, and so does an `--out` path that cannot be
-written.
+numeric flags, an `--order` above 127 and a verify target whose check window
+would be empty, print a message on stderr and exit 2, and so does an `--out`
+path that cannot be written.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import sys
 
 from .correlators import CorrelatorTable, support_keys
-from .pseries import free_energy, mono_degree, mono_str, partition_function
+from .pseries import LIMIT, free_energy, mono_degree, mono_str, partition_function
 from .spectral import (
     ConsistencyError,
     CorrelationEngine,
@@ -41,6 +41,12 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def order_int(text: str) -> int:
+    if (value := non_negative_int(text)) > LIMIT:
+        raise argparse.ArgumentTypeError(f"must be at most {LIMIT}, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bessel-tr",
@@ -50,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, run, order=False, chi=False, **defaults):
         if order:
-            p.add_argument("--order", type=non_negative_int, default=6, help="truncation order N")
+            p.add_argument("--order", type=order_int, default=6, help="truncation order N")
         if chi:
             p.add_argument("--chi-max", type=non_negative_int, default=6, help="bound on 2g-2+n")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")

@@ -19,22 +19,21 @@ its parts fix (g1 and g2 are at least 1 because every part is), and no
 genus is summed over. So C(a, left) over the splits of `rest` is a vector
 fixed by (a, rest) alone, cached and shared by every step that meets it,
 and the split sum is a dot product of the a side with the reversed b side.
-Each step sums integers and builds one `Fraction`, the memo entry. Only keys
-with no part 1 take a step; the others are filled by the dilaton equation
-C(g; mu, 1) = (2g - 2 + n) C(g; mu) = (sum mu) C(g; mu), which `string-dilaton`
-checks against a fresh step (Bessel's alone: for Airy a 1 is the string equation).
+Each step sums integers and builds one `Fraction`, the memo entry. Only keys with no part 1
+take a step; `_lookup`, the one writer of the memo, walks the others down their trailing 1s
+and back up by the dilaton equation C(g; mu, 1) = (2g - 2 + n) C(g; mu) = (sum mu) C(g; mu),
+which `string-dilaton` checks against a fresh step (for Airy, a 1 is the string equation).
 
 Also houses the support predicate and the enumeration of the support.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from operator import index, neg
+from operator import index
 
 
 def canonical_parts(parts) -> tuple[int, ...]:
@@ -51,12 +50,6 @@ def multiplicity_weight(parts: tuple[int, ...]) -> int:
     return weight
 
 
-def _insert(v: int, parts: tuple[int, ...]) -> tuple[int, ...]:
-    """v inserted into the sorted-descending tuple `parts`."""
-    i = bisect_left(parts, -v, key=neg)
-    return parts[:i] + (v,) + parts[i:]
-
-
 def genus(parts) -> int:
     """The support law: the genus g at which the parts sum to 2g - 2 + n."""
     return (sum(parts) - len(parts)) // 2 + 1
@@ -69,13 +62,12 @@ def in_support(g: int, parts) -> bool:
     return bool(parts) and odd and genus(parts) == g
 
 
-def odd_partitions(total: int, max_part: int | None = None):
-    """Partitions of `total` into odd parts <= max_part, descending, reverse-lexicographic."""
+def odd_partitions(total: int):
+    """Partitions of `total` into odd parts, descending, reverse-lexicographic."""
     if total == 0:
         yield ()
         return
-    cap = min(total, total if max_part is None else max_part)
-    cap -= 1 - cap % 2  # the largest odd part allowed
+    cap = total - 1 + total % 2  # the largest odd part allowed
     parts, rest = [], total
     while cap > 0:
         q, r = divmod(rest, cap)  # fill `rest` greedily with odd parts <= cap
@@ -116,21 +108,22 @@ class CorrelatorTable:
         return 0 without recursing.
         """
         parts = canonical_parts(map(index, parts))
-        if not in_support(g, parts):
-            return Fraction(0)
-        got = self._entries.get(parts)
-        if got is None:
-            if parts[-1] == 1:
-                got = (sum(parts) - 1) * self._lookup(parts[:-1])
-            else:
-                got = self.recursion_step(g, parts, 0)
-            self._entries[parts] = got
-        return got
+        return self._lookup(parts) if in_support(g, parts) else Fraction(0)
 
     def _lookup(self, parts: tuple[int, ...]) -> Fraction:
-        # canonical parts on the support: a memo hit skips value's input checks
+        """The entry of the canonical support key `parts`, and the one writer of the memo: a
+        miss walks down the trailing 1s to a stored key or a step on a key with no part 1 (1s
+        keep the genus), then back up by the dilaton equation, storing every key on the way."""
         got = self._entries.get(parts)
-        return self.value(genus(parts), parts) if got is None else got
+        if got is None:
+            n = len(parts)
+            while (got := self._entries.get(parts[:n])) is None and parts[n - 1] == 1:
+                n -= 1
+            if got is None:
+                got = self._entries[parts[:n]] = self.recursion_step(genus(parts), parts[:n], 0)
+            for m in range(n + 1, len(parts) + 1):
+                got = self._entries[parts[:m]] = (sum(parts[:m]) - 1) * got
+        return got
 
     def _splits(self, rest: tuple[int, ...]) -> tuple:
         """(weights, lefts) over the sub-multisets `left` of the sorted `rest`,
@@ -152,7 +145,7 @@ class CorrelatorTable:
         read through the memo; built once per (a, rest)."""
         vec = self._vectors.get((a, rest))
         if vec is None:
-            cs = [self._lookup(_insert(a, left)) for left in self._splits(rest)[1]]
+            cs = [self._lookup(canonical_parts(left + (a,))) for left in self._splits(rest)[1]]
             vec = tuple(c.numerator for c in cs), tuple(c.denominator for c in cs)
             self._vectors[(a, rest)] = vec
         return vec

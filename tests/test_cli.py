@@ -6,7 +6,7 @@ from time import perf_counter
 import pytest
 
 from bessel_tr import verify
-from bessel_tr.cli import main
+from bessel_tr.cli import build_parser, main
 from bessel_tr.spectral import (
     ConsistencyError,
     CorrelationEngine,
@@ -252,6 +252,28 @@ def test_negative_flag_exits_two(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "non-negative" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["free-energy"],
+        ["partition"],
+        ["wave"],
+        ["verify", "--targets", "kdv"],
+        ["verify", "--targets", "commutator"],
+    ],
+)
+def test_order_above_the_packed_key_limit_exits_two(capsys, argv):
+    # a packed series key holds degrees up to 127: one rule for --order on
+    # every subcommand, the commutator's too, checked before any work
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--order", "128"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at most 127" in captured.err
+    assert build_parser().parse_args(argv + ["--order", "127"]).order == 127
 
 
 def test_kdv_at_its_floor_passes(capsys):
