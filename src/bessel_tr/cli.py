@@ -2,19 +2,21 @@
 
 Subcommands: u-table (closed-recursion coefficient dump), omega (residue
 engine dump), free-energy, partition, wave (series exports), and verify
-(the integrability suites). All outputs are deterministic: identical
-configuration yields byte-identical output, values are always lowest-terms
-"p/q" strings, and files are UTF-8. Usage errors, including negative
-numeric flags, an `--order` above 127 and a verify target whose check window
-would be empty, print a message on stderr and exit 2, and so does an `--out`
-path that cannot be written.
+(the integrability suites), read from one table, COMMANDS. Flags take
+`--flag VALUE`, `--flag=VALUE` or a unique prefix (`--chi 3`), the last of a
+repeat counting; `-h`/`--help` prints usage and exits 0. Outputs are
+deterministic: identical configuration yields byte-identical output, values
+are lowest-terms "p/q" strings, files are UTF-8. Usage errors, including
+negative numeric flags, an `--order` above 127 and a verify target whose
+check window would be empty, print a message on stderr and exit 2, and so
+does an `--out` path that cannot be written.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .correlators import CorrelatorTable, support_keys
 from .pseries import LIMIT, free_energy, mono_degree, mono_str, partition_function
@@ -37,59 +39,23 @@ CURVES = {"bessel": bessel_curve, "airy": airy_curve}
 def non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+        raise ValueError(f"must be a non-negative integer, got {value}")
     return value
 
 
 def order_int(text: str) -> int:
     if (value := non_negative_int(text)) > LIMIT:
-        raise argparse.ArgumentTypeError(f"must be at most {LIMIT}, got {value}")
+        raise ValueError(f"must be at most {LIMIT}, got {value}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bessel-tr",
-        description="Exact topological recursion on the Bessel curve.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, run, order=False, chi=False, **defaults):
-        if order:
-            p.add_argument("--order", type=order_int, default=6, help="truncation order N")
-        if chi:
-            p.add_argument("--chi-max", type=non_negative_int, default=6, help="bound on 2g-2+n")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--out", default=None, help="write output to this file")
-        p.set_defaults(run=run, **defaults)
-
-    p = sub.add_parser("u-table", help="dump the coefficient table")
-    p.add_argument("--g-max", type=non_negative_int, default=None, help="optional genus bound")
-    add_common(p, _run_u_table, chi=True)
-
-    p = sub.add_parser("omega", help="dump residue-engine tensors")
-    p.add_argument("--curve", choices=tuple(CURVES), default="bessel")
-    add_common(p, _run_omega, chi=True)
-
-    p = sub.add_parser("free-energy", help="export the free energy series")
-    add_common(p, _run_series, order=True, build=free_energy)
-
-    p = sub.add_parser("partition", help="export the partition function series")
-    add_common(p, _run_series, order=True, build=partition_function)
-
-    p = sub.add_parser("wave", help="export the specialised wave function")
-    add_common(p, _run_wave, order=True)
-
-    p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument(
-        "--targets",
-        default=",".join(TARGETS),
-        help="comma-separated subset of: " + ", ".join(TARGETS),
-    )
-    p.add_argument("--m-max", type=non_negative_int, default=4, help="Virasoro index bound")
-    add_common(p, _run_verify, order=True, chi=True)
-
-    return parser
+def choice(*names: str):
+    """A converter that accepts only `names`."""
+    def convert(text: str) -> str:
+        if text in names:
+            return text
+        raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, names))})")
+    return convert
 
 
 def _dump(args, json_lines, csv_header, text_format, rows) -> None:
@@ -170,6 +136,81 @@ def _run_verify(args) -> int:
     text = "{0}: {3} (order={1}, reliable={2}, residuals={4})"
     _dump(args, reports, "check,order,reliable_order,status,residuals", text, rows)
     return 0 if all(r["status"] == "pass" for r in reports) else 1
+
+
+# flag -> (converter, default, help line); it sets the attribute of its name, "-" read as "_"
+ORDER = {"order": (order_int, 6, "truncation order N")}
+CHI = {"chi-max": (non_negative_int, 6, "bound on 2g-2+n")}
+OUTPUT = {"format": (choice("json", "csv", "text"), "json", "json, csv or text"),
+          "out": (str, None, "write output to this file")}
+# subcommand -> (help line, the attributes it sets: its runner and what that reads, flags)
+COMMANDS = {
+    "u-table": ("dump the coefficient table", dict(run=_run_u_table),
+                {"g-max": (non_negative_int, None, "optional genus bound"), **CHI, **OUTPUT}),
+    "omega": ("dump residue-engine tensors", dict(run=_run_omega),
+              {"curve": (choice(*CURVES), "bessel", " or ".join(CURVES)), **CHI, **OUTPUT}),
+    "free-energy": ("export the free energy series", dict(run=_run_series, build=free_energy),
+                    {**ORDER, **OUTPUT}),
+    "partition": ("export the partition function series",
+                  dict(run=_run_series, build=partition_function), {**ORDER, **OUTPUT}),
+    "wave": ("export the specialised wave function", dict(run=_run_wave), {**ORDER, **OUTPUT}),
+    "verify": ("run verification suites", dict(run=_run_verify), {
+        "targets": (str, ",".join(TARGETS), "comma-separated subset of: " + ", ".join(TARGETS)),
+        "m-max": (non_negative_int, 4, "Virasoro index bound"), **ORDER, **CHI, **OUTPUT}),
+}
+
+
+class Parser:
+    """Reads argv against COMMANDS, as the module docstring says."""
+
+    def parse_args(self, argv=None) -> SimpleNamespace:
+        tokens = iter(sys.argv[1:] if argv is None else argv)
+        command = next(tokens, None)
+        if command in (None, "-h", "--help"):
+            self.exit(None, command is None and "the following arguments are required: command")
+        try:
+            _, attrs, flags = COMMANDS[choice(*COMMANDS)(command)]
+        except ValueError as exc:
+            self.exit(None, f"argument command: {exc}")
+        values = {flag.replace("-", "_"): default for flag, (_, default, _) in flags.items()}
+        for token in tokens:
+            if token in ("-h", "--help"):
+                self.exit(command)
+            name, eq, value = token[2:].partition("=")
+            found = [flag for flag in flags if flag.startswith(name)] if token[:2] == "--" else []
+            if len(found) != 1:
+                self.exit(command, f"{'ambiguous' if found else 'unrecognized'} argument: {token}")
+            [flag] = found
+            # a flag's value is the next token unless given after "="; none starts with "--"
+            if not eq and (value := next(tokens, "--")).startswith("--"):
+                self.exit(command, f"argument --{flag}: expected one argument")
+            try:
+                values[flag.replace("-", "_")] = flags[flag][0](value)
+            except ValueError as exc:
+                self.exit(command, f"argument --{flag}: {exc}")
+        return SimpleNamespace(command=command, **values, **attrs)
+
+    def exit(self, command, error=None):
+        """Help on `command` (None: the program), exit 0; or usage and error on stderr, exit 2."""
+        if command is None:
+            prog, summary = "bessel-tr", "Exact topological recursion on the Bessel curve."
+            rows = {name: entry[0] for name, entry in COMMANDS.items()}
+        else:
+            prog, (summary, _, flags) = f"bessel-tr {command}", COMMANDS[command]
+            rows = {f"--{f} {f.upper().replace('-', '_')}": h for f, (_, _, h) in flags.items()}
+        args = " ".join(f"[{row}]" for row in rows) if command else "{" + ",".join(rows) + "} ..."
+        usage = f"usage: {prog} [-h] {args}\n"
+        if error:
+            sys.stderr.write(f"{usage}{prog}: error: {error}\n")
+            raise SystemExit(2)
+        width = max(map(len, rows))
+        sys.stdout.write(f"{usage}\n{summary}\n\n")
+        sys.stdout.write("".join(f"  {row:<{width}}  {text}\n" for row, text in rows.items()))
+        raise SystemExit(0)
+
+
+def build_parser() -> Parser:
+    return Parser()
 
 
 def main(argv=None) -> int:

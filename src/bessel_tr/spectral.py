@@ -183,7 +183,8 @@ class CorrelationEngine:
         # -z. Distinct factors stand for both orders, which agree where
         # e1 + e2 is even (e1 and e2 then give one sign) and cancel where odd
         # only the polar part is formed; the factors ascend in least exponent,
-        # so the right loop stops at the first that cannot reach it
+        # so the right loop stops at the first that cannot reach it, and a pair
+        # with no term left gets no key, slot or weight
         weights = self._weights
         for den, f1, f2 in pairs:
             twin = f1 is not f2
@@ -192,20 +193,18 @@ class CorrelationEngine:
                 for low2, right, w2, t2 in f2:
                     if low1 + low2 > e_max:
                         break
+                    terms = [(e, c1 * c2 if e2 % 2 else -c1 * c2) for e1, c1 in t1 for e2, c2 in t2
+                             if (e := e1 + e2) <= e_max and not (twin and e % 2)]
+                    if not terms:
+                        continue
                     key = tuple(sorted(left + right, reverse=True))
                     slot = bracket.get(key)
                     if slot is None:
                         slot = bracket[key] = {}
                     w = weights.get(key) or weights.setdefault(key, multiplicity_weight(key))
                     weight = scale * w // (w1 * w2)
-                    for e1, c1 in t1:
-                        c1 *= weight
-                        for e2, c2 in t2:
-                            e = e1 + e2
-                            if e > e_max or twin and e % 2:
-                                continue
-                            c = c1 * c2 if e2 % 2 else -c1 * c2
-                            slot[e] = slot[e] + c if e in slot else c
+                    for e, c in terms:
+                        slot[e] = slot[e] + c * weight if e in slot else c * weight
 
         # entry (b - 1; E) is -[z^(-b)] density(z) / D(z) divided by b - 1:
         # a dot product of the density with the truncated 1/D, built once per

@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
-from bessel_tr import verify
+from bessel_tr import cli, verify
 from bessel_tr.cli import build_parser, main
+from bessel_tr.pseries import free_energy, partition_function
 from bessel_tr.spectral import (
     ConsistencyError,
     CorrelationEngine,
@@ -180,11 +184,38 @@ def test_invalid_flags_exit_two():
     assert exc.value.code == 2
 
 
+# each subcommand's attributes as argparse set them before the command table
+ARGPARSE_DEFAULTS = {
+    "u-table": dict(g_max=None, chi_max=6, format="json", out=None, run=cli._run_u_table),
+    "omega": dict(curve="bessel", chi_max=6, format="json", out=None, run=cli._run_omega),
+    "free-energy": dict(order=6, format="json", out=None, run=cli._run_series, build=free_energy),
+    "partition": dict(
+        order=6, format="json", out=None, run=cli._run_series, build=partition_function
+    ),
+    "wave": dict(order=6, format="json", out=None, run=cli._run_wave),
+    "verify": dict(
+        targets=",".join(TARGETS), m_max=4, order=6, chi_max=6, format="json", out=None,
+        run=cli._run_verify,
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "argv, needles",
     [
         ([], ["the following arguments are required: command"]),
         (["omega", "--curve", "x"], ["'bessel'", "'airy'"]),
+        (["no-such-command"], ["invalid choice: 'no-such-command'", "'u-table'", "'verify'"]),
+        (["--order", "3", "verify"], ["invalid choice: '--order'"]),
+        (["u-table", "--nope", "1"], ["bessel-tr u-table: error: unrecognized argument: --nope"]),
+        (["omega", "--c", "3"], ["bessel-tr omega: error: ambiguous argument: --c"]),
+        (["omega", "foo"], ["unrecognized argument: foo"]),
+        (["omega", "-x"], ["unrecognized argument: -x"]),
+        (["omega", "--chi-max"], ["argument --chi-max: expected one argument"]),
+        (["omega", "--chi-max", "--curve", "airy"], ["argument --chi-max: expected one argument"]),
+        (["u-table", "--format", "yaml"], ["invalid choice: 'yaml'", "'json'", "'csv'", "'text'"]),
+        (["wave", "--order", "x"], ["argument --order:", "'x'"]),
+        (["verify", "--m-max=1.5"], ["argument --m-max:", "'1.5'"]),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv, needles):
@@ -193,8 +224,61 @@ def test_usage_errors_exit_two(capsys, argv, needles):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    prog = " ".join(["bessel-tr"] + [a for a in argv[:1] if a in ARGPARSE_DEFAULTS])
+    assert captured.err.startswith(f"usage: {prog} ")
+    assert f"\n{prog}: error: " in captured.err
     for needle in needles:
         assert needle in captured.err
+
+
+def test_accepted_flag_forms():
+    parse = build_parser().parse_args
+    for command, defaults in ARGPARSE_DEFAULTS.items():
+        assert vars(parse([command])) == {"command": command, **defaults}
+    # --flag=VALUE, a unique prefix, the last of a repeat; after "=" a value
+    # may start with "--", and a separate value may start with one "-"
+    argv = ["verify", "--order=9", "--chi", "3", "--m-max", "1", "--m=2", "--t", "-x", "--t=kdv"]
+    args = parse(argv + ["--f", "csv", "--out=--x"])
+    assert (args.order, args.chi_max, args.m_max, args.targets) == (9, 3, 2, "kdv")
+    assert (args.format, args.out, args.run) == ("csv", "--x", cli._run_verify)
+    assert parse(["omega", "--cu=airy", "--ch=0"]).curve == "airy"
+
+
+def test_help_exits_zero_and_lists_the_table(capsys):
+    # help ends the parse where it stands, before the bad flag after it
+    for flag in ("-h", "--help"):
+        for argv in [[flag]] + [[command, flag] for command in ARGPARSE_DEFAULTS]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--order", "128"])
+            assert exc.value.code == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert captured.out.startswith("usage: bessel-tr")
+            if len(argv) == 1:
+                names = list(ARGPARSE_DEFAULTS)
+            else:
+                names = ["--" + a.replace("_", "-") for a in ARGPARSE_DEFAULTS[argv[0]]]
+                names = [name for name in names if name not in ("--run", "--build")]
+            rows = [line.split()[0] for line in captured.out.splitlines() if line.startswith("  ")]
+            assert rows == names
+
+
+def test_the_cli_imports_no_argparse():
+    # argparse and its gettext and locale imports cost a fresh process
+    # milliseconds before any work; the command table needs none of them
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from bessel_tr.cli import build_parser\n"
+        "build_parser().parse_args(['verify'])\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_deterministic_output(capsys):
@@ -243,6 +327,7 @@ def test_empty_window_exits_two(capsys, argv):
         ["free-energy", "--order", "-1"],
         ["u-table", "--chi-max", "-2"],
         ["u-table", "--g-max", "-1"],
+        ["omega", "--chi=-1"],
     ],
 )
 def test_negative_flag_exits_two(capsys, argv):
