@@ -89,19 +89,19 @@ def evolve(order: int) -> PSeries:
     if order < 0:
         raise ValueError("order must be non-negative")
     d_m, rows = _rows(_cut_and_join_table(_order(order)), order)
-    den, power, terms = 1, {0: 1}, {0: Fraction(1)}
+    den, power, slices = 1, {0: 1}, [(1, {0: 1})]
     for k in range(1, order + 1):
         power = _apply_nums(power, rows)
         den *= d_m * k
         g = gcd(den, *power.values())
         den, power = den // g, {m: n // g for m, n in power.items() if n}
-        terms.update((m, Fraction(n, den)) for m, n in power.items())
-    return PSeries._of(terms, order)
+        slices.append((den, power))
+    return PSeries._joined(slices, order)
 
 
 def kdv_initial_series(order: int) -> PSeries:
     """Series of 1/(8 (1 - x)^2) = sum (k+1) x^k / 8 in x = p1."""
-    return PSeries._of({k * P1: Fraction(k + 1, 8) for k in range(_order(order) + 1)}, order)
+    return PSeries._of({k * P1: k + 1 for k in range(_order(order) + 1)}, 8, order)
 
 
 def kdv_field(F: PSeries) -> PSeries:

@@ -6,18 +6,15 @@ higher weighted degree. The grading doubles as the hbar-exponent of every
 term of the free energy and partition function, so hbar is never stored;
 even-index variables are unrepresentable by construction.
 
-A series keys p^mu by the int `pack(mu)`: the low W-bit field holds the
-degree sum(mu) and field j >= 1 the exponent of p_{2j-1}, so a product of
-monomials is a sum of keys, `k & MASK` is the degree, and d/dp_v subtracts
-`pack((v,))`; orders stop at LIMIT, so no such sum carries into the next field.
-`mono`, the public constructor, `coefficient`, the printed terms, operator
-tables and `bracket` keep the sorted parts tuple of the correlator table
-(p1^2 p3 is (3, 1, 1)). The canonical term order is graded, then
-lexicographic by descending variable index. exp and log run one Euler
-recursion over degree slices. Products, operator application (one kernel
-that visits only the table rows acting on a term), `bracket`, exp and log
-loop over integer numerators on a common denominator; every coefficient they
-return is a `Fraction`.
+A series is integer numerators over one denominator, keyed by the int
+`pack(mu)`: the low W-bit field holds the degree sum(mu) and field j >= 1 the
+exponent of p_{2j-1}, so a product of monomials is a sum of keys, `k & MASK`
+is the degree, and d/dp_v subtracts `pack((v,))`; orders stop at LIMIT, so no
+such sum carries into the next field. Every kernel (sums, products, `apply`,
+one Euler recursion over degree slices for exp and log) reads and returns
+that form. `Fraction`s and the correlator table's sorted parts tuple (p1^2 p3
+is (3, 1, 1)) appear only at the edges: `mono`, the public constructor,
+`coefficient`, `terms`, the printed terms, the operator tables and `bracket`.
 
 This is the one series type: the specialised wave function of `wave` is a
 series in p1 alone, standing for w = hbar/z.
@@ -217,16 +214,18 @@ def bracket(x: dict, y: dict, top: int) -> dict:
     d_y, y = _table_over(y)
     out: dict = {}
     for sign, outer, inner in ((1, x, y), (-1, y, x)):
-        for b1, row1 in outer.items():
-            for b2, row2 in inner.items():
-                for a2, c2 in row2.items():
+        by_var = {v: [b1 for b1 in outer if v in b1] for b in outer for v in b}
+        for b2, row2 in inner.items():
+            for a2, c2 in row2.items():
+                # only an outer B sharing a variable with A2 contracts with it
+                for b1 in dict.fromkeys(b1 for v in set(a2) for b1 in by_var.get(v, ())):
                     for k, a, b in _contractions(a2, b1):
                         b = canonical_parts(b + b2)
                         if sum(b) > top:
                             continue
                         row = out.setdefault(b, {})
                         kc = sign * k * c2
-                        for a1, c1 in row1.items():
+                        for a1, c1 in outer[b1].items():
                             key = canonical_parts(a1 + a)
                             row[key] = row.get(key, 0) + kc * c1
     den = d_x * d_y
@@ -235,9 +234,11 @@ def bracket(x: dict, y: dict, top: int) -> dict:
 
 
 class PSeries:
-    """Truncated element of Q[p1, p3, p5, ...], graded by weighted degree."""
+    """Truncated element of Q[p1, p3, p5, ...], graded by weighted degree, held
+    as integer numerators `nums` {packed key: n} over one denominator `den`,
+    reduced: den > 0, gcd(den, *nums) = 1 and no n is 0, so == is value equality."""
 
-    __slots__ = ("order", "terms")
+    __slots__ = ("order", "den", "nums")
 
     def __init__(self, terms: dict | None = None, order: int = 0):
         """{parts tuple: c} at `order`; parts are checked as by `mono`, equal monomials add."""
@@ -247,113 +248,115 @@ class PSeries:
             m = mono((i, 1) for i in m)
             if sum(m) <= self.order:
                 packed[pack(m)] += Fraction(c)
-        self.terms = {k: c for k, c in packed.items() if c}
+        self.den = lcm(*(c.denominator for c in packed.values()))  # then gcd(den, *nums) is 1
+        self.nums = {k: c.numerator * (self.den // c.denominator) for k, c in packed.items() if c}
 
     @classmethod
-    def _of(cls, terms: dict, order: int) -> "PSeries":
-        """A series on trusted terms: packed, nonzero `Fraction`s of degree <= order."""
+    def _of(cls, nums: dict, den: int, order: int) -> "PSeries":
+        """A series on nonzero numerators of degree <= order over den > 0, reduced here."""
+        g = gcd(den, *nums.values())
         series = cls.__new__(cls)
-        series.order, series.terms = order, terms
+        series.order, series.den = order, den // g
+        series.nums = {k: n // g for k, n in nums.items()} if g > 1 else nums
         return series
+
+    @classmethod
+    def _joined(cls, slices, order: int) -> "PSeries":
+        """Integer slices (den, {key: n}) with disjoint keys, joined over the lcm of the dens."""
+        den = lcm(*(d for d, _ in slices))
+        return cls._of({k: n * (den // d) for d, s in slices for k, n in s.items()}, den, order)
 
     @classmethod
     def one(cls, order: int) -> "PSeries":
         return cls({(): 1}, order)
 
+    @property
+    def terms(self) -> dict:
+        """{packed key: Fraction}, a new dict on every read."""
+        return {k: Fraction(n, self.den) for k, n in self.nums.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def coefficient(self, m) -> Fraction:
         """Coefficient of the monomial given as (index, exponent) pairs."""
         m = mono(m)
-        return self.terms.get(pack(m), Fraction(0)) if sum(m) <= self.order else Fraction(0)
+        return Fraction(self.nums.get(pack(m), 0) if sum(m) <= self.order else 0, self.den)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(0, Fraction(0))
+        return Fraction(self.nums.get(0, 0), self.den)
 
     def truncated(self, order: int) -> "PSeries":
         """Drop terms of degree above `order`, never raising the order; negative means empty."""
         if order < 0:
             return PSeries({}, 0)
         order = min(operator.index(order), self.order)
-        return PSeries._of({k: c for k, c in self.terms.items() if k & MASK <= order}, order)
+        kept = {k: n for k, n in self.nums.items() if k & MASK <= order}
+        return PSeries._of(kept, self.den, order)
 
     def restrict(self, indices) -> "PSeries":
         """Set every variable outside `indices` to zero."""
         fields = {MASK << W * (i + 1) // 2 for i in indices if 0 < i <= self.order and i % 2}
         drop = ~sum(fields, MASK)  # every field but the degree and the kept indices
-        return PSeries._of({k: c for k, c in self.terms.items() if not k & drop}, self.order)
+        kept = {k: n for k, n in self.nums.items() if not k & drop}
+        return PSeries._of(kept, self.den, self.order)
 
     def partial(self, index: int) -> "PSeries":
         """Formal partial derivative by p_index; the truncation order is kept."""
         mono([(index, 1)])  # rejects an index that is even or not positive
         shift, out = W * (index + 1) // 2, {}
-        for k, c in self.terms.items():
+        for k, n in self.nums.items():
             e = k >> shift & MASK
             if e:  # lower k by pack((index,))
-                out[k - index - (1 << shift)] = c * e
-        return PSeries._of(out, self.order)
+                out[k - index - (1 << shift)] = n * e
+        return PSeries._of(out, self.den, self.order)
 
     def apply(self, table: dict) -> "PSeries":
         """Apply the normal-ordered operator sum_B (sum_A c p^A) d^B, derivatives
         first, given as the table {B: {A: c}} of `operator_table`, through the
         kernel `_apply_nums`: a term's cost grows with the rows that act on
         it, not with the table size. The truncation order is kept."""
-        (d_self, nums), order = _over(self.terms), self.order
-        d_table, rows = _rows(table, order)
-        out, den = _apply_nums(nums, rows).items(), d_self * d_table
-        return PSeries._of({k: Fraction(n, den) for k, n in out if n and k & MASK <= order}, order)
+        (d_table, rows), order = _rows(table, self.order), self.order
+        out = {k: n for k, n in _apply_nums(self.nums, rows).items() if n and k & MASK <= order}
+        return PSeries._of(out, self.den * d_table, order)
 
-    def __add__(self, other: "PSeries") -> "PSeries":
-        out, order = dict(self.terms), min(self.order, other.order)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return PSeries._of({k: c for k, c in out.items() if c and k & MASK <= order}, order)
+    def __add__(self, other: "PSeries", sign: int = 1) -> "PSeries":
+        """self + sign * other, over the lcm of the two denominators."""
+        den, order = lcm(self.den, other.den), min(self.order, other.order)
+        p, q = den // self.den, sign * (den // other.den)
+        out = {k: n * p for k, n in self.nums.items()} if p > 1 else dict(self.nums)
+        for k, n in other.nums.items():
+            out[k] = out.get(k, 0) + q * n
+        return PSeries._of({k: n for k, n in out.items() if n and k & MASK <= order}, den, order)
 
     def __sub__(self, other: "PSeries") -> "PSeries":
-        out, order = dict(self.terms), min(self.order, other.order)
-        for k, c in other.terms.items():
-            out[k] = out[k] - c if k in out else -c
-        return PSeries._of({k: c for k, c in out.items() if c and k & MASK <= order}, order)
+        return self.__add__(other, -1)
 
     def __mul__(self, other):
         if not isinstance(other, PSeries):
             x = Fraction(other)
-            return PSeries._of({k: c * x for k, c in self.terms.items() if x}, self.order)
+            nums = {k: n * x.numerator for k, n in self.nums.items()} if x else {}
+            return PSeries._of(nums, self.den * x.denominator, self.order)
         order = min(self.order, other.order)
-        d_a, a = _over(self.terms)
-        d_b, b = _over(other.terms)
-        a, b = _graded(a, self.order), _graded(b, other.order)
+        a, b = _graded(self.nums, self.order), _graded(other.nums, other.order)
         out: dict[int, int] = {}
         for da in range(order + 1):
             for db in range(order + 1 - da):
                 _mul_add(out, 1, a[da], b[db])
-        return PSeries._of({k: Fraction(n, d_a * d_b) for k, n in out.items() if n}, order)
+        return PSeries._of({k: n for k, n in out.items() if n}, self.den * other.den, order)
 
     def exp(self) -> "PSeries":
-        """exp by the Euler recursion over degree slices; requires zero
-        constant term.
-
-        The Euler operator E = sum_i i p_i d/dp_i multiplies a slice of
-        weighted degree d by d and is a derivation, so E exp F = (E F) exp F
-        reads
-
-            d Z_d = sum_{k=1}^{d} k F_k Z_{d-k},   Z_0 = 1,
-
-        one slice product per (d, k).
-        """
-        if self.constant_term():
+        """exp by d Z_d = sum_{k=1}^{d} k F_k Z_{d-k}, Z_0 = 1, one slice product
+        per (d, k): E exp F = (E F) exp F for the Euler operator E = sum_i i p_i
+        d/dp_i, a derivation that multiplies slice d by d. Needs constant term 0."""
+        if 0 in self.nums:
             raise ValueError("exp needs a zero constant term")
         return self._euler(log=False)
 
     def log(self) -> "PSeries":
-        """log by the recursion of `exp` solved for F_d,
-
-            F_d = Z_d - (1/d) sum_{k=1}^{d-1} k F_k Z_{d-k};
-
-        requires constant term exactly 1.
-        """
-        if self.constant_term() != 1:
+        """log by the recursion of `exp` solved for F_d, F_d = Z_d - (1/d)
+        sum_{k=1}^{d-1} k F_k Z_{d-k}; requires constant term exactly 1."""
+        if self.nums.get(0) != self.den:
             raise ValueError("log needs constant term 1")
         return self._euler(log=True)
 
@@ -361,9 +364,9 @@ class PSeries:
         """o_d = [log] s_d + (1/d) sum_{k=1}^{d} w_k s_k o_{d-k} on the slices
         s of this series, for exp (w_k = k, o_0 = 1) and log (w_k = k - d,
         o_0 = 0). Slice o_d is held as integers over d D L, D the denominator
-        of s and L the lcm of the slices it reads, reduced by their gcd."""
-        D, nums = _over(self.terms)
-        s = _graded(nums, self.order)
+        of s and L the lcm of the slices it reads, reduced by their gcd; the
+        result is the slices over their lcm."""
+        D, s = self.den, _graded(self.nums, self.order)
         o = [(1, {} if log else {0: 1})]
         for d in range(1, len(s)):
             reads = [k for k in range(1, d + 1) if s[k] and o[d - k][1]]
@@ -375,13 +378,12 @@ class PSeries:
             den = d * D * L
             g = gcd(den, *acc.values())
             o.append((den // g, {k: n // g for k, n in acc.items() if n}))
-        terms = {k: Fraction(n, den) for den, slice_ in o for k, n in slice_.items()}
-        return PSeries._of(terms, self.order)
+        return PSeries._joined(o, self.order)
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         # graded, then by the exponents from the highest index down, descending
-        keys = sorted(self.terms, key=lambda k: (k & MASK, -(k >> W)))
-        return [(unpack(k), self.terms[k]) for k in keys]
+        keys = sorted(self.nums, key=lambda k: (k & MASK, -(k >> W)))
+        return [(unpack(k), Fraction(self.nums[k], self.den)) for k in keys]
 
     def rows(self, **tags) -> list[dict]:
         """The term rows {**tags, "mono": ..., "coeff": "p/q"}, in `sorted_terms` order."""
@@ -391,34 +393,28 @@ class PSeries:
         return {"order": self.order, "terms": self.rows()}
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PSeries)
-            and self.order == other.order
-            and self.terms == other.terms
-        )
+        mine = (self.order, self.den, self.nums)
+        return isinstance(other, PSeries) and mine == (other.order, other.den, other.nums)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return f"PSeries(0; order={self.order})"
         body = " + ".join(f"{c}*{mono_str(m)}" for m, c in self.sorted_terms())
         return f"PSeries({body}; order={self.order})"
 
 
 def free_energy(table: CorrelatorTable, order: int) -> PSeries:
-    """Generating series of the correlator coefficients, truncated at `order`.
-
-    The coefficient of prod p_i^{k_i} is the coefficient value divided by the
-    product of the multiplicities' factorials: summing over ordered index
-    tuples with 1/n! collapses to that on sorted representatives. The
-    weighted degree is 2g - 2 + n, so the support through `order` is exactly
-    the terms the truncation keeps.
-    """
+    """Generating series of the correlator coefficients, truncated at `order`:
+    p^mu has coefficient C(g; mu) / W(mu) (ordered index tuples with 1/n!
+    collapse to that on sorted ones), and degree 2g - 2 + n, so the support
+    through `order` is exactly the terms the truncation keeps."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    terms: dict[int, Fraction] = {}
+    acc: dict[int, dict] = {}  # C / W(parts), by its denominator
     for g, parts in support_keys(_order(order)):  # each value is positive
-        terms[pack(parts)] = table.value(g, parts) / multiplicity_weight(parts)
-    return PSeries._of(terms, order)
+        c = table.value(g, parts)
+        acc.setdefault(c.denominator * multiplicity_weight(parts), {})[pack(parts)] = c.numerator
+    return PSeries._joined(acc.items(), order)
 
 
 def partition_function(table: CorrelatorTable, order: int) -> PSeries:

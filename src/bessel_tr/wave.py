@@ -17,20 +17,19 @@ derivatives in w. In coefficients that is (d(d+1)/2 + 1/8) a_d - (d+1) a_{d+1}
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
-from .pseries import MASK, P1, PSeries, _order, _over, operator_table
+from .pseries import MASK, P1, PSeries, _order, operator_table
 
 
 def principal_specialize(series: PSeries) -> PSeries:
     """Substitute p_i = z^(-i): a term of weighted degree d lands on w^d = p1^d.
-    The numerators of each degree are summed over one denominator."""
-    den, nums = _over(series.terms)
+    The numerators of each degree are summed over the series' denominator."""
     out: dict = {}
-    for k, n in nums.items():
+    for k, n in series.nums.items():
         w = (k & MASK) * P1
         out[w] = out.get(w, 0) + n
-    return PSeries._of({w: Fraction(n, den) for w, n in out.items() if n}, series.order)
+    return PSeries._of({w: n for w, n in out.items() if n}, series.den, series.order)
 
 
 def coefficients(psi: PSeries) -> list[Fraction]:
@@ -57,7 +56,12 @@ def wave_coeff(d: int) -> Fraction:
 
 
 def wave_series(order: int) -> PSeries:
-    return PSeries._of({d * P1: wave_coeff(d) for d in range(_order(order) + 1)}, order)
+    """The closed form of `wave_coeff` through `order`, over 8^order order!."""
+    top = _order(order)
+    nums = {}
+    for d in range(top + 1):  # ((2d-1)!!)^2 / (8^d d!) = ((2d-1)!!)^2 8^(top-d) (top!/d!) / den
+        nums[d * P1] = double_factorial(2 * d - 1) ** 2 * 8 ** (top - d) * perm(top, top - d)
+    return PSeries._of(nums, 8**top * factorial(top), top)
 
 
 _QUANTUM_CURVE = operator_table(

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial, perm, prod
+from math import factorial, gcd, perm, prod
 
 import pytest
 from hypothesis import example, given
@@ -331,20 +331,26 @@ def small_tables(draw, denominators=st.integers(1, 4)):
     return operator_table(terms)
 
 
-def apply_any_order(series, table):
-    """Apply {B: {A: c}} with derivatives of any order: d^B p^m is
-    prod (m_i)_(B_i) p^(m - B) where B divides m."""
-    out = PSeries({}, series.order)
-    for m, c in series.sorted_terms():
+def fraction_apply(terms, table):
+    """{B: {A: c}} with derivatives of any order on {parts: Fraction}, as a
+    Counter of Fractions: d^B p^m is prod (m_i)_(B_i) p^(m - B) where B
+    divides m."""
+    out = Counter()
+    for m, c in terms.items():
         powers = Counter(m)
         for b, row in table.items():
             need = Counter(b)
             if all(powers[i] >= e for i, e in need.items()):
                 k = c * prod(perm(powers[i], e) for i, e in need.items())
                 rest = mono((i, e - need[i]) for i, e in powers.items())
-                image = {canonical_parts(rest + a): k * q for a, q in row.items()}
-                out = out + PSeries(image, series.order)
+                for a, q in row.items():
+                    out[canonical_parts(rest + a)] += k * q
     return out
+
+
+def apply_any_order(series, table):
+    """`fraction_apply` on a series, at its order."""
+    return PSeries(fraction_apply(dict(series.sorted_terms()), table), series.order)
 
 
 @PROPERTY
@@ -518,3 +524,106 @@ def test_bessel_denominators_are_powers_of_two():
         weight = prod(factorial(e) * double_factorial(i) ** e for i, e in Counter(m).items())
         d = (c * weight).denominator
         assert d & (d - 1) == 0, m
+
+
+# The series kernels against Fraction references built from `sorted_terms`
+# alone: {parts: Fraction} dicts summed and multiplied term by term.
+
+
+def fraction_terms(series):
+    return dict(series.sorted_terms())
+
+
+def fraction_mul(a, b, order):
+    out = Counter()
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            out[canonical_parts(ma + mb)] += ca * cb
+    return {m: c for m, c in out.items() if c and sum(m) <= order}
+
+
+def fraction_power_sum(x, weights, order):
+    """sum_k weights(k) x^k for k = 1 .. order, truncated at `order`."""
+    acc, power = Counter(), {(): Fraction(1)}
+    for k in range(1, order + 1):
+        power = fraction_mul(power, x, order)
+        for m, c in power.items():
+            acc[m] += weights(k) * c
+    return acc
+
+
+def assert_matches(result, reference, order):
+    """`result` has `order`, the nonzero terms of degree <= order of the
+    Fraction dict `reference`, and the reduced stored form."""
+    assert result.order == order
+    assert fraction_terms(result) == {m: c for m, c in reference.items() if c and sum(m) <= order}
+    assert result.den > 0 and gcd(result.den, *result.nums.values()) == 1
+    assert all(n and k & MASK <= order for k, n in result.nums.items())
+
+
+@PROPERTY
+@given(
+    sparse_series(denominators=WIDE),
+    sparse_series(denominators=WIDE),
+    st.fractions(max_denominator=12),
+    small_tables(denominators=WIDE),
+    st.sampled_from((1, 3, 5, 7)),
+    st.sets(st.integers(-1, 13)),
+    st.integers(-1, 13),
+)
+def test_series_kernels_match_fraction_references(a, b, x, table, i, keep, t):
+    ta, tb, order = fraction_terms(a), fraction_terms(b), min(a.order, b.order)
+    for sign, result in ((1, a + b), (-1, a - b)):
+        summed = Counter(ta)
+        summed.update({m: sign * c for m, c in tb.items()})  # update keeps negative sums
+        assert_matches(result, summed, order)
+    assert_matches(a * x, {m: c * x for m, c in ta.items()}, a.order)
+    assert_matches(a * b, fraction_mul(ta, tb, order), order)
+    assert_matches(a.apply(table), fraction_apply(ta, table), a.order)
+    derivative = Counter()
+    for m, c in ta.items():
+        if i in m:  # d/dp_i drops one part i and multiplies by the count of i
+            derivative[m[: m.index(i)] + m[m.index(i) + 1 :]] = c * m.count(i)
+    assert_matches(a.partial(i), derivative, a.order)
+    assert_matches(a.restrict(keep), {m: c for m, c in ta.items() if keep.issuperset(m)}, a.order)
+    assert_matches(a.truncated(t), ta if t >= 0 else {}, min(t, a.order) if t >= 0 else 0)
+    exp = fraction_power_sum(ta, lambda k: Fraction(1, factorial(k)), a.order)
+    exp[()] += 1
+    assert_matches(a.exp(), exp, a.order)
+    one_plus_a = a + PSeries.one(a.order)
+    log = fraction_power_sum(ta, lambda k: Fraction((-1) ** (k + 1), k), a.order)
+    assert_matches(one_plus_a.log(), log, a.order)
+    specialised = Counter()
+    for m, c in ta.items():
+        specialised[(1,) * sum(m)] += c
+    assert_matches(principal_specialize(a), specialised, a.order)
+
+
+@PROPERTY
+@given(
+    sparse_series(denominators=st.sampled_from((1, 2, 4, 2**20))),
+    sparse_series(denominators=st.sampled_from((3, 5, 7, 9 * 11))),
+)
+@example(
+    PSeries({M((1, 1)): Fraction(1, 8)}, 4),
+    PSeries({M((3, 1)): Fraction(1, 3), M((1, 1)): Fraction(2, 9)}, 4),
+)
+def test_equal_values_are_equal_series_across_routes(a, b):
+    # b's denominator is coprime to a's, so a + b is held over their product
+    # and the difference must reduce back to a's own denominator
+    a, b = a.truncated(b.order), b.truncated(a.order)
+    assert (a + b) - b == a
+    assert (a + b) - b - a == PSeries({}, a.order)
+    assert a * 0 == PSeries({}, a.order)
+    assert (a * 0).den == 1
+    assert a * Fraction(1, 3) * 3 == a
+
+
+def test_mutating_the_terms_read_leaves_the_series_unchanged():
+    s = PSeries({M((1, 1)): Fraction(1, 8), M((3, 1)): Fraction(3, 128)}, 3)
+    terms = s.terms
+    terms[pack(M((1, 1)))] = Fraction(5)
+    terms.clear()
+    assert s == PSeries({M((1, 1)): Fraction(1, 8), M((3, 1)): Fraction(3, 128)}, 3)
+    assert s.terms == {pack(M((1, 1))): Fraction(1, 8), pack(M((3, 1))): Fraction(3, 128)}
+    assert (s.den, s.nums) == (128, {pack(M((1, 1))): 16, pack(M((3, 1))): 3})
