@@ -9,7 +9,7 @@ table evaluates the recursion
         + 1/2 * sum_{a + b = mu1 - 1, a, b odd} a*b * [ C(g-1; a, b, rest)
             + sum_{left + right = rest} C(g1; a, left) * C(g2; b, right) ]
 
-seeded by C(1; 1) = 1/8; genus zero is empty, as n parts cannot sum to n - 2.
+seeded by C(1; 1) = SEED = 1/8; genus zero is empty, as n parts cannot sum to n - 2.
 The quadratic sum runs over sub-multisets `left` of `rest`, not subsets: a
 split taking k of the c parts equal to v stands for comb(c, k) subsets and
 is weighted by the product of those binomials, W(rest) / (W(left) W(right))
@@ -34,6 +34,8 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 from operator import index
+
+SEED = Fraction(1, 8)  # s = C(1; 1), the curve's one constant; `operators` and `wave` read it
 
 
 def canonical_parts(parts) -> tuple[int, ...]:
@@ -96,7 +98,7 @@ class CorrelatorTable:
 
     def __init__(self):
         # sorted parts -> coefficient; the parts fix the genus
-        self._entries: dict[tuple[int, ...], Fraction] = {(1,): Fraction(1, 8)}
+        self._entries: dict[tuple[int, ...], Fraction] = {(1,): SEED}
         self._split_memo: dict[tuple[int, ...], tuple] = {}
         # (a, rest) -> `_split_vector`, a cache over `_entries`
         self._vectors: dict[tuple[int, tuple[int, ...]], tuple] = {}

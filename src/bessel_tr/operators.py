@@ -10,10 +10,11 @@ or by its integer kernel for M's flow in `evolve`. Three families:
         L_m = -(m + 1/2)/hbar d/dp_{2m+1}
               + sum_{i odd} (m + i/2) p_i d/dp_{2m+i}
               + sum_{i+j=2m, i,j odd} ij/4 d^2/dp_i dp_j
-              + 1/16 [m = 0],
+              + s/2 [m = 0],
 
-    which annihilate the partition function and close under
-    [L_m, L_n] = (m - n) L_{m+n};
+    with s = C(1; 1) = 1/8 read from `correlators.SEED`, never from a run's
+    table, so a wrong seed fails. They annihilate the partition function and
+    close under [L_m, L_n] = (m - n) L_{m+n};
 
   * the cut-and-join operator
 
@@ -28,7 +29,7 @@ or by its integer kernel for M's flow in `evolve`. Three families:
     x = p1, t = p3 (absorbing hbar^k into p_k makes F hbar-free, since the
     hbar-exponent of every term equals its weighted degree), which solves
 
-        u_t - u u_x - 1/12 u_xxx = 0,  with  u(x, 0) = 1/(8 (1-x)^2).
+        u_t - u u_x - 1/12 u_xxx = 0,  with  u(x, 0) = s/(1-x)^2.
 
 In the graded representation the 1/hbar piece of L_m maps a degree-d term
 to degree d - (2m+1) at hbar-level d - 1, and the other three pieces map it
@@ -44,6 +45,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
+from .correlators import SEED
 from .pseries import P1, PSeries, _apply_nums, _order, _rows, operator_table
 
 
@@ -55,7 +57,7 @@ def _virasoro_table(m: int, top: int) -> dict:
     terms += [(m + Fraction(i, 2), [(i, 1)], [(k + i, 1)]) for i in range(1, top - k + 1, 2)]
     terms += [(Fraction(i * (k - i), 4), [], [(i, 1), (k - i, 1)]) for i in range(1, k, 2)]
     if m == 0:
-        terms.append((Fraction(1, 16), [], []))
+        terms.append((SEED / 2, [], []))
     return operator_table(terms)
 
 
@@ -71,7 +73,7 @@ def virasoro_apply(m: int, series: PSeries) -> PSeries:
 def _cut_and_join_table(top: int) -> dict:
     """M on series of order top, read off the L_m tables. Every image of
     p_{2m+1} L^_m has degree >= 2m + 1, so m runs while 2m + 1 <= top, and
-    m = 0 always, whose 1/16 gives M its p_1/8."""
+    m = 0 always, whose s/2 gives M its s p_1."""
     terms = [
         (2 * c, [(i, 1) for i in (*a, 2 * m + 1)], [(i, 1) for i in b])
         for m in range((max(top, 1) + 1) // 2)
@@ -86,8 +88,6 @@ def evolve(order: int) -> PSeries:
     """The flow sum_{k <= order} M^k 1 / k!; M raises degree by one, so the
     k-th summand is exactly the degree-k slice and the sum is their union.
     Each M^k 1 / k! is integers over one denominator, reduced by their gcd."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
     d_m, rows = _rows(_cut_and_join_table(_order(order)), order)
     den, power, slices = 1, {0: 1}, [(1, {0: 1})]
     for k in range(1, order + 1):
@@ -100,8 +100,9 @@ def evolve(order: int) -> PSeries:
 
 
 def kdv_initial_series(order: int) -> PSeries:
-    """Series of 1/(8 (1 - x)^2) = sum (k+1) x^k / 8 in x = p1."""
-    return PSeries._of({k * P1: k + 1 for k in range(_order(order) + 1)}, 8, order)
+    """Series of u(x, 0) = s/(1 - x)^2 = sum (k+1) s x^k in x = p1, s = SEED."""
+    top, (p, q) = _order(order), SEED.as_integer_ratio()
+    return PSeries._of({k * P1: (k + 1) * p for k in range(top + 1)}, q, top)
 
 
 def kdv_field(F: PSeries) -> PSeries:

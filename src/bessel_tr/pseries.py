@@ -48,9 +48,12 @@ def unpack(k: int) -> Mono:
 
 
 def _order(order) -> int:
-    if operator.index(order) > LIMIT:
+    order = operator.index(order)
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    if order > LIMIT:
         raise ValueError(f"order {order} is above {LIMIT}, the most a packed key holds")
-    return operator.index(order)
+    return order
 
 
 def mono(pairs) -> Mono:
@@ -99,7 +102,7 @@ def _table_over(table: dict) -> tuple[int, dict]:
 
 def _graded(nums: dict, order: int) -> list[dict]:
     """Terms bucketed by weighted degree: slot d holds the degree-d terms."""
-    out: list[dict] = [{} for _ in range(max(order, 0) + 1)]
+    out: list[dict] = [{} for _ in range(order + 1)]
     for k, n in nums.items():
         out[k & MASK][k] = n
     return out
@@ -283,9 +286,6 @@ class PSeries:
         m = mono(m)
         return Fraction(self.nums.get(pack(m), 0) if sum(m) <= self.order else 0, self.den)
 
-    def constant_term(self) -> Fraction:
-        return Fraction(self.nums.get(0, 0), self.den)
-
     def truncated(self, order: int) -> "PSeries":
         """Drop terms of degree above `order`, never raising the order; negative means empty."""
         if order < 0:
@@ -408,8 +408,6 @@ def free_energy(table: CorrelatorTable, order: int) -> PSeries:
     p^mu has coefficient C(g; mu) / W(mu) (ordered index tuples with 1/n!
     collapse to that on sorted ones), and degree 2g - 2 + n, so the support
     through `order` is exactly the terms the truncation keeps."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
     acc: dict[int, dict] = {}  # C / W(parts), by its denominator
     for g, parts in support_keys(_order(order)):  # each value is positive
         c = table.value(g, parts)

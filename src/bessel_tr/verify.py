@@ -143,7 +143,7 @@ def cutjoin_report(Z: PSeries) -> dict:
 def kdv_report(F: PSeries) -> dict:
     """u_t - u u_x - 1/12 u_xxx = 0 for u = kdv_field(F), checked through
     degree F.order - 5 (u is complete through F.order - 2, and u_t and
-    u_xxx each cost three more), and u(x, 0) against 1/(8 (1 - x)^2) through F.order - 2."""
+    u_xxx each cost three more), and u(x, 0) against s/(1 - x)^2, s = SEED, through F.order - 2."""
     _refuse_empty_window("kdv", order=F.order)
     u = kdv_field(F)
     u_x = u.partial(1)

@@ -7,11 +7,12 @@ alone, standing for w = hbar/z, with w^d keyed as p1^d, `d * P1`.
 
 The wave function psi = Z|_{p_i = z^(-i)} satisfies
 
-    1/2 z^2 psi'' + z^2/hbar psi' + 1/8 psi = 0,
+    1/2 z^2 psi'' + z^2/hbar psi' + s psi = 0,  s = SEED = 1/8,
 
-which under z = hbar/w reads 1/2 w^2 psi'' + w psi' + psi/8 - psi' = 0 with
-derivatives in w. In coefficients that is (d(d+1)/2 + 1/8) a_d - (d+1) a_{d+1}
-= 0, which yields the closed form a_d = ((2d-1)!!)^2 / (8^d d!).
+which under z = hbar/w reads 1/2 w^2 psi'' + w psi' + s psi - psi' = 0 with
+derivatives in w. In coefficients that is (d(d+1)/2 + s) a_d - (d+1) a_{d+1}
+= 0 with a_0 = 1, the recurrence `wave_series` runs; at s = 1/8 it solves to
+((2d-1)!!)^2 / (8^d d!), since d(d+1)/2 + 1/8 = (2d+1)^2/8.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, perm
 
+from .correlators import SEED
 from .pseries import MASK, P1, PSeries, _order, operator_table
 
 
@@ -37,46 +39,30 @@ def coefficients(psi: PSeries) -> list[Fraction]:
     return [psi.coefficient([(1, d)]) for d in range(psi.order + 1)]
 
 
-def double_factorial(n: int) -> int:
-    """n(n-2)(n-4)... down to 1 or 2, with (-1)!! = 0!! = 1."""
-    if n < -1:
-        raise ValueError(f"double factorial undefined for {n}")
-    result = 1
-    while n > 1:
-        result *= n
-        n -= 2
-    return result
-
-
-def wave_coeff(d: int) -> Fraction:
-    """Closed form ((2d-1)!!)^2 / (8^d d!) of the wave-function coefficient."""
-    if d < 0:
-        raise ValueError("coefficient index must be non-negative")
-    return Fraction(double_factorial(2 * d - 1) ** 2, 8**d * factorial(d))
-
-
 def wave_series(order: int) -> PSeries:
-    """The closed form of `wave_coeff` through `order`, over 8^order order!."""
-    top = _order(order)
-    nums = {}
-    for d in range(top + 1):  # ((2d-1)!!)^2 / (8^d d!) = ((2d-1)!!)^2 8^(top-d) (top!/d!) / den
-        nums[d * P1] = double_factorial(2 * d - 1) ** 2 * 8 ** (top - d) * perm(top, top - d)
-    return PSeries._of(nums, 8**top * factorial(top), top)
+    """a_0, ..., a_order from the recurrence (d + 1) a_{d+1} = (d(d+1)/2 + s) a_d, a_0 = 1,
+    for s = SEED = p/q, over (2q)^order order!: a_d (2q)^d d! = prod_{j<d} (q j(j+1) + 2p)."""
+    top, (p, q) = _order(order), SEED.as_integer_ratio()
+    nums, lead = {}, 1
+    for d in range(top + 1):
+        nums[d * P1] = lead * (2 * q) ** (top - d) * perm(top, top - d)
+        lead *= q * d * (d + 1) + 2 * p
+    return PSeries._of(nums, (2 * q) ** top * factorial(top), top)
 
 
 _QUANTUM_CURVE = operator_table(
     [
         (Fraction(1, 2), [(1, 2)], [(1, 2)]),
         (1, [(1, 1)], [(1, 1)]),
-        (Fraction(1, 8), [], []),
+        (SEED, [], []),
         (-1, [], [(1, 1)]),
     ]
 )
 
 
 def quantum_curve_residual(psi: PSeries) -> PSeries:
-    """1/2 w^2 psi'' + w psi' + psi/8 - psi' for a series psi in w = p1, that
-    is (1/2 z^2 d^2/dz^2 + z^2/hbar d/dz + 1/8) psi. The lone psi' lowers
+    """1/2 w^2 psi'' + w psi' + s psi - psi' for a series psi in w = p1, that
+    is (1/2 z^2 d^2/dz^2 + z^2/hbar d/dz + s) psi. The lone psi' lowers
     every degree by one, so the residual is reliable through psi.order - 1.
     """
     if psi.order < 1:

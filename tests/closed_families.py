@@ -1,5 +1,6 @@
-"""The genus <= 4 closed-form families of the correlator coefficients: test
-reference data, compared against the closed recursion."""
+"""The genus <= 4 closed-form families of the correlator coefficients and the
+closed form of the wave coefficients: test reference data, compared against
+the closed recursion and the wave function's recurrence."""
 
 from fractions import Fraction
 from math import factorial
@@ -37,3 +38,21 @@ def family_parts(shape, n: int) -> tuple[int, ...]:
     """The full index of a closed-form family: shape padded with ones."""
     shape = canonical_parts(shape)
     return shape + (1,) * (n - len(shape))
+
+
+def double_factorial(n: int) -> int:
+    """n(n-2)(n-4)... down to 1 or 2, with (-1)!! = 0!! = 1."""
+    if n < -1:
+        raise ValueError(f"double factorial undefined for {n}")
+    result = 1
+    while n > 1:
+        result *= n
+        n -= 2
+    return result
+
+
+def wave_coeff(d: int) -> Fraction:
+    """Closed form ((2d-1)!!)^2 / (8^d d!) of the wave-function coefficient."""
+    if d < 0:
+        raise ValueError("coefficient index must be non-negative")
+    return Fraction(double_factorial(2 * d - 1) ** 2, 8**d * factorial(d))

@@ -6,7 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from closed_families import closed_form, family_parts
+from closed_families import closed_form, family_parts, wave_coeff
 from strategies import M
 
 from bessel_tr.correlators import (
@@ -18,7 +18,7 @@ from bessel_tr.operators import evolve, kdv_field
 from bessel_tr.pseries import free_energy, partition_function
 from bessel_tr.spectral import CorrelationEngine, bessel_curve, stable_pairs, symmetric_table
 from bessel_tr.verify import commutator_report, string_dilaton_report, virasoro_report
-from bessel_tr.wave import principal_specialize, quantum_curve_residual, wave_coeff, wave_series
+from bessel_tr.wave import principal_specialize, quantum_curve_residual, wave_series
 
 
 def _criterion(num: int, ok: bool, text: str) -> None:

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from closed_families import closed_form, family_parts
+from closed_families import closed_form, double_factorial, family_parts
 
 from bessel_tr.correlators import (
     CorrelatorTable,
@@ -13,7 +13,6 @@ from bessel_tr.correlators import (
     support_keys,
 )
 from bessel_tr.pseries import free_energy
-from bessel_tr.wave import double_factorial
 
 
 def string_dilaton_holds(t, g, parts):

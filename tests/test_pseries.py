@@ -6,6 +6,7 @@ from math import factorial, gcd, perm, prod
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from closed_families import double_factorial
 from strategies import PROPERTY, M, monomials, sparse_series
 
 from bessel_tr.correlators import CorrelatorTable, canonical_parts, in_support, support_keys
@@ -24,7 +25,7 @@ from bessel_tr.pseries import (
     partition_function,
     unpack,
 )
-from bessel_tr.wave import double_factorial, principal_specialize, wave_series
+from bessel_tr.wave import principal_specialize, wave_series
 
 
 def test_mono_rejects_even_or_negative():
@@ -155,6 +156,23 @@ def test_order_must_be_an_integer():
     with pytest.raises(TypeError):
         PSeries.one(3).truncated(1.5)
     assert PSeries({}, True).order == 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PSeries.one(-1),
+        lambda: PSeries({}, -2).exp(),
+        lambda: kdv_initial_series(-1),
+        lambda: wave_series(-1),
+    ],
+    ids=["one", "exp", "kdv_initial_series", "wave_series"],
+)
+def test_a_negative_order_is_refused(build):
+    # every series is built through the one order check; only `truncated`
+    # reads a negative order, as empty
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        build()
 
 
 def _random_series(rng, order=8):

@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from closed_families import double_factorial
 from strategies import PROPERTY
 
 from bessel_tr import spectral
@@ -20,7 +21,6 @@ from bessel_tr.spectral import (
     stable_pairs,
     symmetric_table,
 )
-from bessel_tr.wave import double_factorial
 
 
 def test_kernel_rejects_even_y():

@@ -201,6 +201,19 @@ def test_failing_reports_are_pinned(monkeypatch):
     assert digest == "e24d26cb94d16822d8cff293748acd81d9a0a306b97f3f2361a4a57c38685e49"
 
 
+def test_wrong_seed_fails_every_check_that_reads_it():
+    # with virasoro, kdv and cutjoin above, every check that reads s = C(1; 1):
+    # quantum-curve takes s from SEED and oracle-equivalence derives C(1; 1)
+    # from the curve, neither from the run's table, so both see a wrong seed
+    run = RunContext(order=9, chi_max=6, m_max=3)
+    run.table._entries[(1,)] = Fraction(1, 4)
+    reports = [run_target(name, run) for name in ("quantum-curve", "oracle-equivalence")]
+    assert [(r["check"], r["status"], len(r["residual_terms"])) for r in reports] == [
+        ("quantum-curve", "fail", 18),
+        ("oracle-equivalence", "fail", 13),
+    ]
+
+
 def test_failing_table_reports_are_pinned():
     # the table checks must report a corrupted C(2; 3, 1), off by 1%, row for
     # row, and quantum-curve a Z whose first degree-5 coefficient is off by 1%;

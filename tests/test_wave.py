@@ -3,18 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from closed_families import double_factorial, wave_coeff
 from strategies import PROPERTY
 
 from bessel_tr.correlators import CorrelatorTable
-from bessel_tr.pseries import PSeries, free_energy, mono, partition_function
+from bessel_tr.pseries import LIMIT, PSeries, free_energy, mono, partition_function
 from bessel_tr.verify import sk_identity_report
-from bessel_tr.wave import (
-    double_factorial,
-    principal_specialize,
-    quantum_curve_residual,
-    wave_coeff,
-    wave_series,
-)
+from bessel_tr.wave import principal_specialize, quantum_curve_residual, wave_series
 
 
 def W(*coeffs):
@@ -58,6 +53,12 @@ def test_wave_coeff_values():
 def test_wave_coeff_recurrence():
     for d in range(31):
         assert wave_coeff(d + 1) == wave_coeff(d) * Fraction((2 * d + 1) ** 2, 8 * (d + 1))
+
+
+def test_wave_series_recurrence_matches_closed_form():
+    # the recurrence in s = SEED against ((2d-1)!!)^2 / (8^d d!), through every order a key holds
+    for order in range(LIMIT + 1):
+        assert wave_series(order) == W(*(wave_coeff(d) for d in range(order + 1)))
 
 
 def test_wave_series_matches_specialised_partition_function():
