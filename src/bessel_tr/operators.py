@@ -1,9 +1,9 @@
 """Differential operators on the graded series, and the series they act on.
 
-The linear operators are data: normal-ordered tables {d^B: {p^A: c}},
-derivatives first, built once per size by `operator_table` from the
-formulas below (M from the L_m tables) and applied by `PSeries.apply`,
-or by its integer kernel for M's flow in `evolve`. Three families:
+The linear operators are data: normal-ordered operators, derivatives first,
+packed once per size by `operator_table` from the terms of the formulas
+below (M from the terms of the L_m) and applied by `PSeries.apply`, also
+step by step in M's flow `evolve`. Three families:
 
   * the half-Virasoro operators
 
@@ -43,22 +43,28 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd
 
 from .correlators import SEED
-from .pseries import P1, PSeries, _apply_nums, _order, _rows, operator_table
+from .pseries import P1, Operator, PSeries, _order, operator_table
+
+
+def _virasoro_terms(m: int, top: int) -> list:
+    """The terms (c, A, B) of L_m whose d^B has degree <= top; the rest act
+    on no monomial of degree <= top."""
+    k = 2 * m
+    terms = [(Fraction(-k - 1, 2), [], [(k + 1, 1)])] if k < top else []
+    terms += [(Fraction(k + i, 2), [(i, 1)], [(k + i, 1)]) for i in range(1, top - k + 1, 2)]
+    if k <= top:
+        terms += [(Fraction(i * (k - i), 4), [], [(i, 1), (k - i, 1)]) for i in range(1, k, 2)]
+    if m == 0:
+        terms.append((SEED / 2, [], []))
+    return terms
 
 
 @cache
-def _virasoro_table(m: int, top: int) -> dict:
-    """L_m on series whose variables have index <= top."""
-    k = 2 * m
-    terms = [(-(m + Fraction(1, 2)), [], [(k + 1, 1)])]
-    terms += [(m + Fraction(i, 2), [(i, 1)], [(k + i, 1)]) for i in range(1, top - k + 1, 2)]
-    terms += [(Fraction(i * (k - i), 4), [], [(i, 1), (k - i, 1)]) for i in range(1, k, 2)]
-    if m == 0:
-        terms.append((SEED / 2, [], []))
-    return operator_table(terms)
+def _virasoro_table(m: int, top: int) -> Operator:
+    """L_m on series of order top."""
+    return operator_table(_virasoro_terms(m, top))
 
 
 def virasoro_apply(m: int, series: PSeries) -> PSeries:
@@ -70,16 +76,16 @@ def virasoro_apply(m: int, series: PSeries) -> PSeries:
 
 
 @cache
-def _cut_and_join_table(top: int) -> dict:
-    """M on series of order top, read off the L_m tables. Every image of
-    p_{2m+1} L^_m has degree >= 2m + 1, so m runs while 2m + 1 <= top, and
-    m = 0 always, whose s/2 gives M its s p_1."""
+def _cut_and_join_table(top: int) -> Operator:
+    """M on series of order top, as 2 p_{2m+1} L^_m for the m with 2m + 1 <= top,
+    since the image of p_{2m+1} has degree >= 2m + 1; L_m sized by top - 1
+    keeps exactly M's terms whose p^A has degree <= top, the only ones that
+    land a kept term."""
     terms = [
-        (2 * c, [(i, 1) for i in (*a, 2 * m + 1)], [(i, 1) for i in b])
-        for m in range((max(top, 1) + 1) // 2)
-        for b, row in _virasoro_table(m, top).items()
-        for a, c in row.items()
-        if a or b != (2 * m + 1,)  # drop the 1/hbar piece d/dp_{2m+1}
+        (2 * c, [*a, (2 * m + 1, 1)], b)
+        for m in range((top + 1) // 2)
+        for c, a, b in _virasoro_terms(m, top - 1)
+        if a or b != [(2 * m + 1, 1)]  # drop the 1/hbar piece d/dp_{2m+1}
     ]
     return operator_table(terms)
 
@@ -88,15 +94,13 @@ def evolve(order: int) -> PSeries:
     """The flow sum_{k <= order} M^k 1 / k!; M raises degree by one, so the
     k-th summand is exactly the degree-k slice and the sum is their union.
     Each M^k 1 / k! is integers over one denominator, reduced by their gcd."""
-    d_m, rows = _rows(_cut_and_join_table(_order(order)), order)
-    den, power, slices = 1, {0: 1}, [(1, {0: 1})]
-    for k in range(1, order + 1):
-        power = _apply_nums(power, rows)
-        den *= d_m * k
-        g = gcd(den, *power.values())
-        den, power = den // g, {m: n // g for m, n in power.items() if n}
-        slices.append((den, power))
-    return PSeries._joined(slices, order)
+    top = _order(order)
+    M, power, slices = _cut_and_join_table(top), PSeries.one(top), [(1, {0: 1})]
+    for k in range(1, top + 1):
+        power = power.apply(M)
+        power = PSeries._of(power.nums, power.den * k, top)
+        slices.append((power.den, power.nums))
+    return PSeries._joined(slices, top)
 
 
 def kdv_initial_series(order: int) -> PSeries:

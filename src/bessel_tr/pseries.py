@@ -12,9 +12,12 @@ exponent of p_{2j-1}, so a product of monomials is a sum of keys, `k & MASK`
 is the degree, and d/dp_v subtracts `pack((v,))`; orders stop at LIMIT, so no
 such sum carries into the next field. Every kernel (sums, products, `apply`,
 one Euler recursion over degree slices for exp and log) reads and returns
-that form. `Fraction`s and the correlator table's sorted parts tuple (p1^2 p3
-is (3, 1, 1)) appear only at the edges: `mono`, the public constructor,
-`coefficient`, `terms`, the printed terms, the operator tables and `bracket`.
+that form. An operator is packed once, by `operator_table`, into the same
+keys and one denominator, and `apply` and `bracket` read it as built.
+`Fraction`s and the correlator table's sorted parts tuple (p1^2 p3 is (3, 1,
+1)) appear only at the edges: `mono`, the public constructor, `coefficient`,
+the `terms` of a series or an operator, the printed terms, the coefficients
+`operator_table` takes and the terms `bracket` returns.
 
 This is the one series type: the specialised wave function of `wave` is a
 series in p1 alone, standing for w = hbar/z.
@@ -25,8 +28,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from fractions import Fraction
-from itertools import product
-from math import comb, gcd, lcm, perm, prod
+from math import comb, gcd, lcm, perm
 
 from .correlators import CorrelatorTable, canonical_parts, multiplicity_weight, support_keys
 
@@ -43,8 +45,13 @@ def pack(parts) -> int:
 
 
 def unpack(k: int) -> Mono:
-    """The sorted parts tuple of a packed key."""
-    return mono((2 * j - 1, k >> W * j & MASK) for j in range(1, k.bit_length() // W + 1))
+    """The sorted parts tuple of a packed key, read from its highest field down."""
+    parts, x = [], k >> W
+    while x:
+        j = (x.bit_length() - 1) // W  # field j + 1 holds the exponent of p_{2j+1}
+        parts += [2 * j + 1] * (x >> W * j & MASK)
+        x &= (1 << W * j) - 1
+    return tuple(parts)
 
 
 def _order(order) -> int:
@@ -93,13 +100,6 @@ def _over(coeffs: dict) -> tuple[int, dict]:
     return D, {k: c.numerator * (D // c.denominator) for k, c in coeffs.items()}
 
 
-def _table_over(table: dict) -> tuple[int, dict]:
-    """`_over` for an operator table {B: {A: c}}, one D for every row."""
-    D = lcm(*{c.denominator for row in table.values() for c in row.values()})
-    rows = table.items()
-    return D, {b: {a: c.numerator * (D // c.denominator) for a, c in r.items()} for b, r in rows}
-
-
 def _graded(nums: dict, order: int) -> list[dict]:
     """Terms bucketed by weighted degree: slot d holds the degree-d terms."""
     out: list[dict] = [{} for _ in range(order + 1)]
@@ -117,92 +117,74 @@ def _mul_add(acc: dict, q: int, a: dict, b: dict) -> None:
             acc[key] = acc.get(key, 0) + qa * cb
 
 
-def _rows(table: dict, order: int) -> tuple[int, tuple]:
-    """(D, (const, single, square, pairs)) of a table {B: {A: n / D}}, rows as
-    ((pack(A), n), ...) for the A of degree <= order (no other lands a kept
-    term), read by len(B): B = () is const, (v,) and (v, v) are single[v] and
-    square[v], (v, w) with v > w is pairs[v][w]. Order above 2 is refused."""
-    D, nums = _table_over(table)
-    const, single, square, pairs = (), {}, {}, {}
-    for b, row in nums.items():
-        row = tuple((pack(a), n) for a, n in row.items() if sum(a) <= order)
-        if len(b) > 2:
-            raise ValueError(f"derivative order above 2: {mono_str(b)}")
-        if len(b) == 2 and b[0] != b[1]:
-            pairs.setdefault(b[0], {})[b[1]] = row
-        elif b:
-            (square if len(b) == 2 else single)[b[0]] = row
-        else:
-            const = row
-    return D, (const, single, square, pairs)
+class Operator:
+    """A normal-ordered operator sum c p^A d^B, derivatives first, of derivative
+    order <= 2, as integer numerators over one denominator `den`, none of them
+    0, in rows [(pack(A), n), ...] filed by B: `const` is the row of B = (),
+    `single[v]` and `square[v]` those of d_v and d_v^2, `pairs[v][w]` that of
+    d_v d_w with v > w. Built by `operator_table` only."""
+
+    __slots__ = ("den", "const", "single", "square", "pairs")
+
+    def _filed(self):
+        """(B as its parts tuple, row) for every row."""
+        yield (), self.const
+        yield from (((v,), row) for v, row in self.single.items())
+        yield from (((v, v), row) for v, row in self.square.items())
+        yield from (((v, w), row) for v, by_w in self.pairs.items() for w, row in by_w.items())
+
+    @property
+    def terms(self) -> dict:
+        """{(pack(B), pack(A)): Fraction}, a new dict on every read."""
+        return {(pack(b), a): Fraction(n, self.den) for b, row in self._filed() for a, n in row}
 
 
-def _apply_nums(nums: dict, rows: tuple) -> dict:
-    """The operator of `_rows` on {k: n} over both denominators, zero sums
-    kept; k is lowered only by the rows d_v, d_v^2, d_v d_w that act on it,
-    found in one walk over its fields, lowest index first."""
-    const, single, square, pairs = rows
-    out: dict[int, int] = {}
-    for k, c in nums.items():
-        hits, seen = [(k, c, const)], []
-        x, v, bit = k >> W, 1, 1 << W
-        while x:
-            e = x & MASK
-            if e:  # p_v^e: d_v lowers k by u = pack((v,))
-                u = v + bit
-                if v in single:
-                    hits.append((k - u, c * e, single[v]))
-                if e > 1 and v in square:
-                    hits.append((k - 2 * u, c * e * (e - 1), square[v]))
-                by_w = pairs.get(v)
-                for w, f, uw in seen if by_w else ():
-                    if w in by_w:
-                        hits.append((k - u - uw, c * e * f, by_w[w]))
-                seen.append((v, e, u))
-            x, v, bit = x >> W, v + 2, bit << W
-        for rest, cf, row in hits:
-            for a, q in row:
-                key = rest + a
-                out[key] = out.get(key, 0) + cf * q
-    return out
-
-
-def operator_table(terms) -> dict:
-    """The operator sum c p^A d^B over `terms` given as (c, A pairs, B pairs),
-    as the table {B: {A: c}} that `PSeries.apply` reads. Keys are normalised
-    by `mono`, so d_i d_j and d_j d_i meet on one B, i = j gives d_i^2, and
-    the coefficients of equal (A, B) add up."""
-    table: dict = {}
+def operator_table(terms) -> Operator:
+    """The operator sum c p^A d^B over `terms` (c, A pairs, B pairs), c an int
+    or a Fraction, packed once into the `Operator` that `PSeries.apply` and
+    `bracket` read. Keys are normalised by `mono`, so d_i d_j and d_j d_i meet
+    on one B, i = j gives d_i^2, the coefficients of equal (A, B) add up and a
+    zero sum is dropped. A third derivative is refused, and so is an A or B of
+    degree above LIMIT: below it, no sum of two keys carries into the next field."""
+    packed = []
     for c, a, b in terms:
-        b, a = mono(b), mono(a)
+        a, b = mono(a), mono(b)
         if len(b) > 2:
             raise ValueError(f"derivative order above 2: {mono_str(b)}")
-        row = table.setdefault(b, {})
-        row[a] = row.get(a, 0) + Fraction(c)
-    return table
-
-
-def _contractions(a: Mono, b: Mono):
-    """(k, a / C, b / C) for every common divisor C != 1 of a and b: the terms
-    of d^b p^a = sum_C k p^(a / C) d^(b / C) other than p^a d^b itself."""
-    common = set(a).intersection(b)
-    if not common:
-        return
-    da, db = Counter(a), Counter(b)
-    for cs in product(*(range(min(da[i], db[i]) + 1) for i in common)):
-        if not any(cs):
+        if max(sum(a), sum(b)) > LIMIT:
+            raise ValueError(f"degree above {LIMIT} in p^A d^B, A {mono_str(a)}, B {mono_str(b)}")
+        packed.append((c.numerator, c.denominator, b, pack(a)))
+    den, acc, op = lcm(*(d for _, d, _, _ in packed)), {}, Operator()
+    for n, d, b, a in packed:
+        acc[b, a] = acc.get((b, a), 0) + n * (den // d)
+    op.den, op.const, op.single, op.square, op.pairs = den, [], {}, {}, {}
+    for (b, a), n in acc.items():
+        if not n:
             continue
-        cut = dict(zip(common, cs))
-        k = prod(comb(db[i], c) * perm(da[i], c) for i, c in cut.items())
-        a_cut = mono((i, e - cut.get(i, 0)) for i, e in da.items())
-        yield k, a_cut, mono((i, e - cut.get(i, 0)) for i, e in db.items())
+        if len(b) == 2 and b[0] != b[1]:
+            op.pairs.setdefault(b[0], {}).setdefault(b[1], []).append((a, n))
+        elif b:
+            (op.square if len(b) == 2 else op.single).setdefault(b[0], []).append((a, n))
+        else:
+            op.const.append((a, n))
+    return op
 
 
-def bracket(x: dict, y: dict, top: int) -> dict:
-    """The commutator x o y - y o x of two tables {B: {A: c}}, normal
-    ordered, as the table {B: {A: c}} of its terms whose derivative monomial
-    has degree <= top, with no zero coefficient and no empty row. The sums
-    run over integer numerators on one denominator.
+def _contractions(a: int, b: Mono) -> list:
+    """(k, pack(C)) for each C != 1 dividing the packed p^a and d^b, b a parts
+    tuple: the terms k p^(a - C) d^(b - C) of d^b p^a other than p^a d^b."""
+    cuts = [(1, 0)]
+    for v in set(b):
+        f, e, u = b.count(v), a >> W * (v + 1) // 2 & MASK, pack((v,))
+        cs = range(min(e, f) + 1)
+        cuts = [(k * comb(f, c) * perm(e, c), at + c * u) for k, at in cuts for c in cs]
+    return cuts[1:]
+
+
+def bracket(x: Operator, y: Operator, top: int) -> dict:
+    """The commutator x o y - y o x of two operators, normal ordered, as its
+    terms {(pack(B), pack(A)): c} with B of degree <= top, none of them 0,
+    summed as integers over one denominator; a contraction subtracts a key.
 
     Moving the outer factor's d^B1 past the inner factor's p^A2 by the
     Leibniz rule,
@@ -211,29 +193,28 @@ def bracket(x: dict, y: dict, top: int) -> dict:
 
     over C <= B1, A2 componentwise. The C = 1 terms of x o y and y o x are
     both c1 c2 p^(A1 + A2) d^(B1 + B2) and cancel, so only the contractions
-    C != 1 are summed. The result reaches derivative order 4, which
-    `PSeries.apply` refuses; it is only compared, never applied."""
-    d_x, x = _table_over(x)
-    d_y, y = _table_over(y)
+    C != 1 are summed. The result reaches derivative order 3, so it is no
+    `Operator` and `PSeries.apply` refuses it; it is only compared."""
     out: dict = {}
     for sign, outer, inner in ((1, x, y), (-1, y, x)):
-        by_var = {v: [b1 for b1 in outer if v in b1] for b in outer for v in b}
-        for b2, row2 in inner.items():
-            for a2, c2 in row2.items():
-                # only an outer B sharing a variable with A2 contracts with it
-                for b1 in dict.fromkeys(b1 for v in set(a2) for b1 in by_var.get(v, ())):
-                    for k, a, b in _contractions(a2, b1):
-                        b = canonical_parts(b + b2)
-                        if sum(b) > top:
-                            continue
-                        row = out.setdefault(b, {})
-                        kc = sign * k * c2
-                        for a1, c1 in outer[b1].items():
-                            key = canonical_parts(a1 + a)
-                            row[key] = row.get(key, 0) + kc * c1
-    den = d_x * d_y
-    rows = ((b, {a: Fraction(n, den) for a, n in row.items() if n}) for b, row in out.items())
-    return {b: row for b, row in rows if row}
+        by_var: dict = {}  # v -> {pack(B1): (B1, row)} for each outer B1 holding v
+        for b1, row1 in outer._filed():
+            for v in b1:
+                by_var.setdefault(v, {})[pack(b1)] = b1, row1
+        for b2, row2 in inner._filed():
+            b2 = pack(b2)
+            for a2, c2 in row2:
+                hits: dict = {}  # only an outer B sharing a variable with A2 contracts with it
+                for v in set(unpack(a2)):
+                    hits.update(by_var.get(v, ()))
+                for key1, (b1, row1) in hits.items():
+                    for k, cut in _contractions(a2, b1):
+                        b, rest, kc = key1 - cut + b2, a2 - cut, sign * k * c2
+                        if b & MASK <= top:
+                            for a1, c1 in row1:
+                                out[b, a1 + rest] = out.get((b, a1 + rest), 0) + kc * c1
+    den = x.den * y.den
+    return {key: Fraction(n, den) for key, n in out.items() if n}
 
 
 class PSeries:
@@ -311,17 +292,43 @@ class PSeries:
                 out[k - index - (1 << shift)] = n * e
         return PSeries._of(out, self.den, self.order)
 
-    def apply(self, table: dict) -> "PSeries":
-        """Apply the normal-ordered operator sum_B (sum_A c p^A) d^B, derivatives
-        first, given as the table {B: {A: c}} of `operator_table`, through the
-        kernel `_apply_nums`: a term's cost grows with the rows that act on
-        it, not with the table size. The truncation order is kept."""
-        (d_table, rows), order = _rows(table, self.order), self.order
-        out = {k: n for k, n in _apply_nums(self.nums, rows).items() if n and k & MASK <= order}
-        return PSeries._of(out, self.den * d_table, order)
+    def apply(self, op: Operator) -> "PSeries":
+        """Apply an `Operator` of `operator_table`, derivatives first; the
+        truncation order is kept. A term is lowered only by the rows d_v, d_v^2,
+        d_v d_w that act on it, found in one walk over its fields, lowest index
+        first, so its cost grows with those rows, not with the table size."""
+        if not isinstance(op, Operator):
+            raise TypeError(f"apply takes an Operator, not a {type(op).__name__}")
+        const, single, square, pairs, order = op.const, op.single, op.square, op.pairs, self.order
+        out: dict[int, int] = {}
+        for k, c in self.nums.items():
+            hits, seen = [(k, c, const)], []
+            x, v, bit = k >> W, 1, 1 << W
+            while x:
+                e = x & MASK
+                if e:  # p_v^e: d_v lowers k by u = pack((v,))
+                    u = v + bit
+                    if v in single:
+                        hits.append((k - u, c * e, single[v]))
+                    if e > 1 and v in square:
+                        hits.append((k - 2 * u, c * e * (e - 1), square[v]))
+                    by_w = pairs.get(v)
+                    for w, f, uw in seen if by_w else ():
+                        if w in by_w:
+                            hits.append((k - u - uw, c * e * f, by_w[w]))
+                    seen.append((v, e, u))
+                x, v, bit = x >> W, v + 2, bit << W
+            for rest, cf, row in hits:
+                for a, q in row:
+                    key = rest + a
+                    out[key] = out.get(key, 0) + cf * q
+        out = {k: n for k, n in out.items() if n and k & MASK <= order}
+        return PSeries._of(out, self.den * op.den, order)
 
     def __add__(self, other: "PSeries", sign: int = 1) -> "PSeries":
         """self + sign * other, over the lcm of the two denominators."""
+        if not isinstance(other, PSeries):
+            return NotImplemented
         den, order = lcm(self.den, other.den), min(self.order, other.order)
         p, q = den // self.den, sign * (den // other.den)
         out = {k: n * p for k, n in self.nums.items()} if p > 1 else dict(self.nums)

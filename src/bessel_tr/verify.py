@@ -29,13 +29,7 @@ from .correlators import (
     support_keys,
 )
 from .operators import evolve, kdv_field, kdv_initial_series, virasoro_apply
-from .pseries import (
-    PSeries,
-    bracket,
-    free_energy,
-    mono_degree,
-    mono_json,
-)
+from .pseries import PSeries, bracket, free_energy, mono_degree, mono_json
 from .spectral import CorrelationEngine, bessel_curve, stable_pairs, symmetric_table
 from .wave import coefficients, principal_specialize, quantum_curve_residual, wave_series
 
@@ -92,11 +86,11 @@ def commutator_report(order: int, m_max: int) -> dict:
     summed by `bracket` from the L tables sized by order (only the Leibniz
     terms that contract a derivative, as the others cancel) must equal the
     table (m - n) L_{m+n}, both kept to derivative degree <= order. That
-    cut is exact. A term the sizing drops carries a derivative d/dp_j with
-    j > order, and so does every product term it feeds: a product keeps
-    the inner factor's derivatives, and loses an outer d/dp_j only against
-    a p_j of the inner factor, which an L table holds only beside
-    d/dp_{j+2k}. And a normal-ordered operator kills every monomial of
+    cut is exact. A term the sizing drops has derivative degree > order,
+    and so does every product term it feeds: a product keeps the inner
+    factor's derivatives, and loses an outer d/dp_j only against a p_j of
+    the inner factor, which an L table holds only beside d/dp_{j+2k}, of
+    no lower degree. And a normal-ordered operator kills every monomial of
     degree <= order iff its coefficients of derivative degree <= order all
     vanish: on p^B, for B least among the d^B with a coefficient that does
     not, only d^B itself acts. Only a pair whose tables differ sweeps the
@@ -124,15 +118,9 @@ def commutator_report(order: int, m_max: int) -> dict:
 
 def _bracket_closes(m: int, n: int, order: int) -> bool:
     """Whether bracket(L_m, L_n, order) = (m - n) L_{m+n}, on the L tables
-    sized by order, the right side cut to derivative degree <= order and
-    both sides without zero coefficients or empty rows."""
-    table = operators._virasoro_table
-    rows = (
-        (b, {a: (m - n) * c for a, c in row.items() if c})
-        for b, row in table(m + n, order).items()
-        if mono_degree(b) <= order
-    )
-    return bracket(table(m, order), table(n, order), order) == {b: r for b, r in rows if r}
+    sized by order, whose rows d^B all have degree <= order."""
+    x, y, z = (operators._virasoro_table(k, order) for k in (m, n, m + n))
+    return bracket(x, y, order) == {key: (m - n) * c for key, c in z.terms.items()}
 
 
 def cutjoin_report(Z: PSeries) -> dict:

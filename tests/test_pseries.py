@@ -14,6 +14,7 @@ from bessel_tr.operators import _virasoro_table, evolve, kdv_initial_series
 from bessel_tr.pseries import (
     LIMIT,
     MASK,
+    Operator,
     PSeries,
     bracket,
     free_energy,
@@ -349,14 +350,23 @@ def small_tables(draw, denominators=st.integers(1, 4)):
     return operator_table(terms)
 
 
+def decoded(table):
+    """{B: {A: c}} on parts tuples, of an `Operator` or of the terms
+    {(pack(B), pack(A)): c} that `bracket` returns, each key read by `unpack`."""
+    out: dict = {}
+    for (b, a), c in (table.terms if isinstance(table, Operator) else table).items():
+        out.setdefault(unpack(b), {})[unpack(a)] = c
+    return out
+
+
 def fraction_apply(terms, table):
-    """{B: {A: c}} with derivatives of any order on {parts: Fraction}, as a
-    Counter of Fractions: d^B p^m is prod (m_i)_(B_i) p^(m - B) where B
-    divides m."""
+    """An operator of `decoded`, with derivatives of any order, on {parts:
+    Fraction}, as a Counter of Fractions: d^B p^m is prod (m_i)_(B_i)
+    p^(m - B) where B divides m."""
     out = Counter()
     for m, c in terms.items():
         powers = Counter(m)
-        for b, row in table.items():
+        for b, row in decoded(table).items():
             need = Counter(b)
             if all(powers[i] >= e for i, e in need.items()):
                 k = c * prod(perm(powers[i], e) for i, e in need.items())
@@ -385,7 +395,7 @@ def test_bracket_applies_as_the_commutator(s, x, y):
     s = PSeries(dict(s.sorted_terms()), 64)
     top = max((mono_degree(m) for m, _ in s.sorted_terms()), default=0)
     table = bracket(x, y, top)
-    assert all(row and all(row.values()) for row in table.values())
+    assert all(table.values())
     assert apply_any_order(s, table) == s.apply(y).apply(x) - s.apply(x).apply(y)
 
 
@@ -443,12 +453,29 @@ def test_apply_with_wide_denominators(s, table):
     ],
 )
 def test_apply_refuses_a_row_above_second_order(b, m, value):
-    # a `bracket` table reaches derivative order 4; apply must refuse such a
-    # row, not file it as a lower one, and only apply_any_order reads it
-    s, table = PSeries({mono(m): 1}, 9), {mono(b): {(): Fraction(1)}}
-    assert apply_any_order(s, table) == PSeries({(): value}, 9)
+    # a third derivative is refused by operator_table, not filed as a lower
+    # one, and apply refuses its row in a bare dict; only apply_any_order reads it
+    s = PSeries({mono(m): 1}, 9)
+    assert apply_any_order(s, {(pack(mono(b)), 0): Fraction(1)}) == PSeries({(): value}, 9)
     with pytest.raises(ValueError, match="derivative order above 2"):
-        s.apply(table)
+        operator_table([(1, [], b)])
+    with pytest.raises(TypeError, match="Operator"):
+        s.apply({mono(b): {(): Fraction(1)}})
+
+
+def test_apply_refuses_anything_but_an_operator():
+    # bracket's terms reach derivative order 3 (an outer d_1^2 past p_1^2 d_3 d_1),
+    # so they are no Operator; neither is a bare dict, decoded or with two
+    # entries that a (den, rows) pair would unpack, nor such a pair
+    x = operator_table([(1, [], [(1, 2)])])
+    y = operator_table([(1, [(1, 2)], [(3, 1), (1, 1)])])
+    commutator = bracket(x, y, 9)
+    assert decoded(commutator) == {(3, 1, 1): {(1,): 4}, (3, 1): {(): 2}}
+    s = PSeries({M((3, 1), (1, 2)): 1}, 9)
+    assert apply_any_order(s, commutator) == s.apply(y).apply(x) - s.apply(x).apply(y)
+    for table in (commutator, decoded(commutator), {1: {}, 3: {}}, (y.den, y.single)):
+        with pytest.raises(TypeError, match="Operator"):
+            s.apply(table)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -507,9 +534,32 @@ def test_an_order_too_large_for_a_field_is_refused():
 
 
 def test_apply_drops_a_row_above_the_order():
-    # p127 p129 has degree 256, whose key would carry out of the degree field
+    # p127^2 has degree 254, above the order, and its key still holds it
     s = PSeries({(LIMIT,): 1}, LIMIT)
-    assert s.apply(operator_table([(1, [(LIMIT + 2, 1)], [])])).is_zero()
+    assert s.apply(operator_table([(1, [(LIMIT, 1)], [])])).is_zero()
+    assert s.apply(operator_table([(2, [(1, LIMIT)], [(LIMIT, 1)])])) == PSeries(
+        {(1,) * LIMIT: 2}, LIMIT
+    )
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [([(LIMIT + 2, 1)], []), ([], [(LIMIT + 2, 1)]), ([(1, LIMIT + 1)], [(1, 1)])],
+    ids=["p129", "d129", "p1^128"],
+)
+def test_operator_table_refuses_a_term_that_could_carry(a, b):
+    # p127 p129 has degree 256, whose key would carry out of the degree field:
+    # no A or B of degree above LIMIT is packed
+    with pytest.raises(ValueError, match=f"degree above {LIMIT}"):
+        operator_table([(1, a, b)])
+
+
+def test_a_series_plus_a_number_is_a_type_error():
+    # a number is not a series: the sum raises on either side, as 1 + s does
+    s = PSeries({(1,): 1}, 3)
+    for build in (lambda: s + 1, lambda: s - 1, lambda: 1 + s, lambda: s + Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_the_constructor_keys_each_monomial_once():

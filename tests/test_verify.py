@@ -15,6 +15,7 @@ from bessel_tr.pseries import (
     mono_json,
     operator_table,
     partition_function,
+    unpack,
 )
 from bessel_tr.verify import (
     TARGETS,
@@ -183,11 +184,7 @@ def test_failing_reports_are_pinned(monkeypatch):
 
     def corrupted(m, top):
         table = original(m, top)
-        if m != 2:
-            return table
-        row = dict(table.get((5,), {}))
-        row[()] = row.get((), 0) + 1
-        return {**table, (5,): row}
+        return rebuilt(table, (1, [], [(5, 1)])) if m == 2 else table
 
     monkeypatch.setattr(operators, "_virasoro_table", corrupted)
     reports.append(commutator_report(8, 3))
@@ -279,11 +276,7 @@ def test_each_virasoro_table_can_fail_the_commutator(monkeypatch, k):
 
         def corrupted(m, top, index=index):
             table = original(m, top)
-            if m != k:
-                return table
-            row = dict(table.get((index,), {}))
-            row[()] = row.get((), 0) + Fraction(1, 3)
-            return {**table, (index,): row}
+            return rebuilt(table, (Fraction(1, 3), [], [(index, 1)])) if m == k else table
 
         monkeypatch.setattr(operators, "_virasoro_table", corrupted)
         report = commutator_report(9, 4)
@@ -291,44 +284,49 @@ def test_each_virasoro_table_can_fail_the_commutator(monkeypatch, k):
         assert json.dumps(report) == json.dumps(sweep_commutator_report(9, 4)), index
 
 
+def operator_terms(table):
+    """The terms (c, A pairs, B pairs) of an `Operator`, each key read by `unpack`."""
+    return [
+        (c, [(i, 1) for i in unpack(a)], [(i, 1) for i in unpack(b)])
+        for (b, a), c in table.terms.items()
+    ]
+
+
+def rebuilt(table, *extra):
+    """`table` rebuilt by `operator_table` from its terms and the terms `extra`."""
+    return operator_table(operator_terms(table) + list(extra))
+
+
 def padded(table):
-    """`table` with explicit zeros at p9 d/dp1 and p3 d^2/dp1^2, each row
-    made where the table lacks it."""
-    table = {b: dict(row) for b, row in table.items()}
-    table.setdefault((1,), {})[(9,)] = Fraction(0)
-    table.setdefault((1, 1), {})[(3,)] = Fraction(0)
-    return table
+    """`table` rebuilt with explicit zeros at p9 d/dp1 and p3 d^2/dp1^2."""
+    return rebuilt(table, (0, [(9, 1)], [(1, 1)]), (Fraction(0), [(3, 1)], [(1, 2)]))
 
 
 def cancelling(table):
-    """`table` rebuilt by `operator_table` with two pairs of terms that
-    cancel, at p1 d/dp5 and p7 d/dp1 d/dp3, each row made where the table
-    lacks it."""
-    terms = [
-        (c, [(i, 1) for i in a], [(i, 1) for i in b])
-        for b, row in table.items()
-        for a, c in row.items()
-    ]
-    terms += [(1, [(1, 1)], [(5, 1)]), (-1, [(1, 1)], [(5, 1)])]
-    terms += [(2, [(7, 1)], [(1, 1), (3, 1)]), (-2, [(7, 1)], [(1, 1), (3, 1)])]
-    return operator_table(terms)
+    """`table` rebuilt with two pairs of terms that cancel, at p1 d/dp5 and
+    p7 d/dp1 d/dp3."""
+    return rebuilt(
+        table,
+        *[(1, [(1, 1)], [(5, 1)]), (-1, [(1, 1)], [(5, 1)])],
+        *[(2, [(7, 1)], [(1, 1), (3, 1)]), (-2, [(7, 1)], [(1, 1), (3, 1)])],
+    )
 
 
 @pytest.mark.parametrize("rebuild", [padded, cancelling])
 def test_zero_entries_do_not_send_a_pair_to_the_sweep(monkeypatch, rebuild):
-    # an L table whose zero coefficients are explicit is the same operator:
-    # every pair must close on the tables, and a corrupted one still fails
-    # row for row as the full monomial sweep lists it
+    # an L table built with zero coefficients, explicit or summed, is the same
+    # operator, with no zero kept: every pair must close on the tables, and a
+    # corrupted one still fails row for row as the full monomial sweep lists it
     original = operators._virasoro_table
     monkeypatch.setattr(operators, "_virasoro_table", lambda m, top: rebuild(original(m, top)))
-    assert any(0 in row.values() for row in operators._virasoro_table(1, 12).values())
+    for m in range(8):
+        terms = operators._virasoro_table(m, 12).terms
+        assert terms == original(m, 12).terms and all(terms.values())
     assert all(_bracket_closes(m, n, 12) for n in range(1, 7) for m in range(n))
 
     def corrupted(m, top):
         table = rebuild(original(m, top))
-        if m == 3:
-            table[(7,)][()] += Fraction(1, 3)
-        return table
+        return rebuilt(table, (Fraction(1, 3), [], [(7, 1)])) if m == 3 else table
 
     monkeypatch.setattr(operators, "_virasoro_table", corrupted)
     report = commutator_report(9, 4)
